@@ -42,17 +42,20 @@ cdef uint64_t _reach_from(uint64_t* adj, uint64_t cand, uint64_t free_) nogil:
 
 
 cdef int _lc_dfs(uint64_t* adj, int a, int u, uint64_t visited, uint64_t allowed,
-                 int* path, int depth, int* best_len, int* best_path,
+                 int* path, int depth, int* best_len, int* best_path, int cap,
                  double deadline, int64_t* nodes) except -1:
+    """Returns 1 once the best cycle found reaches cap, else 0."""
     cdef uint64_t free_, cand, reach, m
     cdef int v
     nodes[0] += 1
-    if deadline > 0 and (nodes[0] & 2047) == 0 and monotonic() > deadline:
+    if deadline > 0 and (nodes[0] & 2047) == 1 and monotonic() > deadline:
         raise SearchTimeout("exact cycle search exceeded its deadline")
     if depth >= 3 and (adj[u] >> a) & 1 and depth > best_len[0]:
         best_len[0] = depth
         for v in range(depth):
             best_path[v] = path[v]
+        if depth >= cap:
+            return 1
     free_ = allowed & ~visited
     cand = adj[u] & free_
     if cand == 0:
@@ -67,8 +70,9 @@ cdef int _lc_dfs(uint64_t* adj, int a, int u, uint64_t visited, uint64_t allowed
         v = cs_ctz64(m)
         m &= m - 1
         path[depth] = v
-        _lc_dfs(adj, a, v, visited | (<uint64_t>1 << v), allowed, path, depth + 1,
-                best_len, best_path, deadline, nodes)
+        if _lc_dfs(adj, a, v, visited | (<uint64_t>1 << v), allowed, path, depth + 1,
+                   best_len, best_path, cap, deadline, nodes):
+            return 1
     return 0
 
 
@@ -79,7 +83,7 @@ cdef int _fixed_dfs(uint64_t* adj, int a, int u, uint64_t visited, uint64_t allo
     cdef uint64_t free_, cand, reach, m
     cdef int v
     nodes[0] += 1
-    if deadline > 0 and (nodes[0] & 2047) == 0 and monotonic() > deadline:
+    if deadline > 0 and (nodes[0] & 2047) == 1 and monotonic() > deadline:
         raise SearchTimeout("exact cycle search exceeded its deadline")
     if depth == t:
         return 1 if (adj[u] >> a) & 1 else 0
@@ -103,12 +107,14 @@ cdef int _fixed_dfs(uint64_t* adj, int a, int u, uint64_t visited, uint64_t allo
     return 0
 
 
-def find_longest_cycle(adj, int n, deadline=None):
-    """Exact longest cycle length and one witness path, or (0, None)."""
+def find_longest_cycle(adj, int n, deadline=None, cap=None):
+    """Exact longest cycle length and one witness path, or (0, None);
+    ``cap`` stops the search as in the pure twin."""
     cdef uint64_t adjc[64]
     cdef int path[65]
     cdef int best_path[65]
     cdef int best_len = 0, a, i
+    cdef int cap_ = n if cap is None or cap > n else cap
     cdef uint64_t allowed
     cdef int64_t nodes = 0
     cdef double dl = deadline if deadline is not None else 0.0
@@ -121,8 +127,9 @@ def find_longest_cycle(adj, int n, deadline=None):
         if cs_popcount64(allowed) <= best_len:
             break
         path[0] = a
-        _lc_dfs(adjc, a, a, <uint64_t>1 << a, allowed, path, 1,
-                &best_len, best_path, dl, &nodes)
+        if _lc_dfs(adjc, a, a, <uint64_t>1 << a, allowed, path, 1,
+                   &best_len, best_path, cap_, dl, &nodes):
+            break
         allowed &= ~(<uint64_t>1 << a)
     if best_len == 0:
         return 0, None

@@ -21,7 +21,10 @@ _DEADLINE_STRIDE = 2048
 
 
 def _check_deadline(nodes: int, deadline) -> None:
-    if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and monotonic() > deadline:
+    """Called on every DFS node; looks at the clock on a search's first node
+    and on every ``_DEADLINE_STRIDE``-th after it, so an expired deadline
+    always stops a search."""
+    if deadline is not None and nodes % _DEADLINE_STRIDE == 1 and monotonic() > deadline:
         raise SearchTimeout("exact cycle search exceeded its deadline")
 
 
@@ -41,17 +44,25 @@ def _reach_from(adj, cand: int, free: int) -> int:
     return reach
 
 
-def find_longest_cycle(adj, n: int, deadline=None):
-    """Exact longest cycle length and one witness path, or (0, None)."""
+def find_longest_cycle(adj, n: int, deadline=None, cap=None):
+    """Exact longest cycle length and one witness path, or (0, None).
+
+    With ``cap`` the search stops once it holds a cycle of ``cap`` or more
+    vertices, so ``min(length, cap) == min(c, cap)``; when c <= cap the
+    result is the uncapped one, witness included.
+    """
     if n < 3:
         return 0, None
+    if cap is None or cap > n:
+        cap = n
     best_len = 0
     best_path = None
     allowed = (1 << n) - 1
     path = []
     nodes = 0
 
-    def dfs(u: int, visited: int, a: int, abit: int) -> None:
+    def dfs(u: int, visited: int, a: int) -> bool:
+        """True once the best cycle found reaches ``cap``."""
         nonlocal best_len, best_path, nodes
         nodes += 1
         _check_deadline(nodes, deadline)
@@ -59,31 +70,35 @@ def find_longest_cycle(adj, n: int, deadline=None):
         if depth >= 3 and (adj[u] >> a) & 1 and depth > best_len:
             best_len = depth
             best_path = path.copy()
+            if depth >= cap:
+                return True
         free = allowed & ~visited
         cand = adj[u] & free
         if not cand:
-            return
+            return False
         reach = _reach_from(adj, cand, free)
         if depth + reach.bit_count() <= best_len:
-            return
+            return False
         if not (adj[a] & reach):
-            return
+            return False
         m = cand
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             path.append(v)
-            dfs(v, visited | (1 << v), a, abit)
+            if dfs(v, visited | (1 << v), a):
+                return True
             path.pop()
+        return False
 
     for a in range(n):
         if allowed.bit_count() <= best_len:
             break
-        abit = 1 << a
         path.clear()
         path.append(a)
-        dfs(a, abit, a, abit)
-        allowed &= ~abit
+        if dfs(a, 1 << a, a):
+            break
+        allowed &= ~(1 << a)
     return best_len, best_path
 
 

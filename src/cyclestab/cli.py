@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from time import monotonic
 
 from . import __version__
@@ -26,6 +27,7 @@ from .cycles import (
     check_bollobas_pancyclicity,
     check_erdos_gallai,
     check_fan_lv_weng,
+    circumference,
     cycle_spectrum,
 )
 from .errors import (
@@ -169,12 +171,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> bytes:
+def _read_text(path: str) -> tuple[bytes, str]:
+    """The file's bytes (for the input digest) and its text."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data, data.decode()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _deadline(args):
@@ -235,19 +242,20 @@ def _report_skeleton(args, digest, parameters, result, checks=None) -> dict:
 
 
 def _run_spectrum(args):
-    data = _read(args.graph)
-    g = parse_graph(data.decode())
+    data, text = _read_text(args.graph)
+    g = parse_graph(text)
     report = cycle_spectrum(g, _deadline(args))
     code = EXIT_TIMEOUT if report.timed_out else EXIT_OK
     return _report_skeleton(args, content_digest(data), {}, report.to_payload()), code
 
 
 def _run_bounds(args):
-    data = _read(args.graph)
-    g = parse_graph(data.decode())
+    data, text = _read_text(args.graph)
+    g = parse_graph(text)
     deadline = _deadline(args)
-    reports = [check_erdos_gallai(g, deadline), check_fan_lv_weng(g, deadline),
-               check_bollobas_pancyclicity(g, deadline)]
+    known_c = cache(lambda: circumference(g, deadline))
+    reports = [check(g, deadline, known_c) for check in
+               (check_erdos_gallai, check_fan_lv_weng, check_bollobas_pancyclicity)]
     failed = [r.name for r in reports if r.applicable and not r.passed]
     result = {"bounds": [r.to_payload() for r in reports]}
     code = EXIT_FAIL if failed else EXIT_OK
@@ -255,8 +263,8 @@ def _run_bounds(args):
 
 
 def _run_paths(args):
-    data = _read(args.graph)
-    g = parse_graph(data.decode())
+    data, text = _read_text(args.graph)
+    g = parse_graph(text)
     deadline = _deadline(args)
     parameters = {"op": args.op}
     for name in ("x", "y", "t"):
@@ -282,8 +290,8 @@ def _run_paths(args):
 
 
 def _run_decompose(args):
-    data = _read(args.graph)
-    g = parse_graph(data.decode())
+    data, text = _read_text(args.graph)
+    g = parse_graph(text)
     deadline = _deadline(args)
     if args.command == "decompose-cycth":
         parameters = {"gamma": frac_str(args.gamma),
@@ -311,15 +319,15 @@ def _run_decompose(args):
 
 
 def _run_le4(args):
-    data = _read(args.graph)
-    g = parse_graph(data.decode())
+    data, text = _read_text(args.graph)
+    g = parse_graph(text)
     ext = extract_biclique_partition(g, _deadline(args))
     return _report_skeleton(args, content_digest(data), {}, ext.to_payload()), EXIT_OK
 
 
 def _run_ramsey_cert(args):
-    data = _read(args.coloring)
-    col = parse_coloring(data.decode())
+    data, text = _read_text(args.coloring)
+    col = parse_coloring(text)
     deadline = _deadline(args)
     parameters = {"n": args.n, "beta": frac_str(args.beta)}
     cert = ramsey_certificate(col, args.n, args.beta, deadline)
@@ -349,8 +357,8 @@ def _run_ramsey_sweep(args):
 def _run_arrth(args):
     deadline = _deadline(args)
     if args.coloring is not None:
-        data = _read(args.coloring)
-        col = parse_coloring(data.decode())
+        data, text = _read_text(args.coloring)
+        col = parse_coloring(text)
         verdict = pancyclic_color_verdict(col, deadline)
         return _report_skeleton(args, content_digest(data), {},
                                 verdict.to_payload()), EXIT_OK
@@ -367,9 +375,9 @@ def _run_arrth(args):
 def _run_verify(args):
     import json
 
-    cert_data = _read(args.certificate)
+    _, cert_text = _read_text(args.certificate)
     try:
-        wrapper = json.loads(cert_data.decode())
+        wrapper = json.loads(cert_text)
     except ValueError as exc:
         raise MalformedCertificateError(f"certificate file is not JSON: {exc}") from exc
     if not isinstance(wrapper, dict) or "command" not in wrapper:
@@ -379,20 +387,20 @@ def _run_verify(args):
     if command in ("decompose-thdc", "decompose-cycth", "decompose-th3par"):
         if args.graph is None:
             raise ParameterError("verify needs --graph for a decomposition certificate")
-        data = _read(args.graph)
+        data, text = _read_text(args.graph)
         if wrapper.get("input_digest") not in (None, content_digest(data)):
             raise ParameterError("input digest does not match the certificate")
-        g = parse_graph(data.decode())
+        g = parse_graph(text)
         cert = StabilityCertificate.from_payload(result)
         report = verify_stability_certificate(g, cert, deadline=_deadline(args))
         digest = content_digest(data)
     elif command == "ramsey-cert":
         if args.coloring is None:
             raise ParameterError("verify needs --coloring for a ramsey certificate")
-        data = _read(args.coloring)
+        data, text = _read_text(args.coloring)
         if wrapper.get("input_digest") not in (None, content_digest(data)):
             raise ParameterError("input digest does not match the certificate")
-        col = parse_coloring(data.decode())
+        col = parse_coloring(text)
         cert = RamseyCertificate.from_payload(result)
         report = verify_ramsey_certificate(col, cert, _deadline(args))
         digest = content_digest(data)

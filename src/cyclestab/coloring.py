@@ -46,13 +46,6 @@ class TwoColoring:
             return self.blue
         raise ParameterError(f"unknown color {name!r}")
 
-    def red_edge_mask(self, edge_order: list[tuple[int, int]]) -> int:
-        mask = 0
-        for i, (u, v) in enumerate(edge_order):
-            if self.red.has_edge(u, v):
-                mask |= 1 << i
-        return mask
-
 
 def complete_host(p: int) -> Graph:
     return build_graph(p, combinations(range(p), 2))

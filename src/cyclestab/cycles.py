@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import _kernel
 from .errors import ParameterError, SearchTimeout
-from .graph import Graph, is_two_connected
+from .graph import Graph, bipartition, blocks, is_two_connected
 from .reporting import Comparison
 
 
@@ -41,15 +41,6 @@ def validate_cycle(g: Graph, seq, t: Optional[int] = None) -> bool:
     return g.has_edge(seq[-1], seq[0])
 
 
-def validate_path(g: Graph, seq) -> bool:
-    seq = tuple(seq)
-    if not seq or len(set(seq)) != len(seq):
-        return False
-    if any(not (0 <= v < g.n) for v in seq):
-        return False
-    return all(g.has_edge(u, v) for u, v in zip(seq, seq[1:]))
-
-
 def longest_cycle(g: Graph, deadline=None) -> tuple[int, Optional[tuple[int, ...]]]:
     """Exact longest cycle length with a witness; (0, None) when acyclic."""
     length, path = _kernel.find_longest_cycle(g.adj, g.n, deadline)
@@ -58,10 +49,50 @@ def longest_cycle(g: Graph, deadline=None) -> tuple[int, Optional[tuple[int, ...
     return length, _canonical_cycle(path)
 
 
+class CycleBounds(NamedTuple):
+    """Cycle lengths that a graph's blocks rule out.
+
+    Every cycle lies inside one biconnected block, no cycle is longer than
+    its block, and a bipartite block has only even cycles, none longer
+    than twice its smaller side.  These facts only rule lengths out; every
+    witness still comes from the whole-graph search.
+    """
+
+    longest: int      # max over blocks of |B|, or twice the smaller side if bipartite
+    longest_odd: int  # the largest non-bipartite block, 0 if none
+
+    def rules_out(self, t: int) -> bool:
+        return t > self.longest or (t % 2 == 1 and t > self.longest_odd)
+
+
+def cycle_bounds(g: Graph) -> CycleBounds:
+    """The block bounds of ``g``, computed once per graph and kept on it."""
+    if g._cycle_bounds is None:
+        longest = longest_odd = 0
+        for block in blocks(g):
+            sides = bipartition(g, within=block)
+            if sides is None:
+                size = block.bit_count()
+                longest = max(longest, size)
+                longest_odd = max(longest_odd, size)
+            else:
+                longest = max(longest, 2 * sides[0].bit_count())
+        object.__setattr__(g, "_cycle_bounds", CycleBounds(longest, longest_odd))
+    return g._cycle_bounds
+
+
+def circumference(g: Graph, deadline=None) -> int:
+    """Exact longest cycle length, 0 when acyclic; the search stops at the
+    block bound once it reaches it."""
+    return _kernel.find_longest_cycle(g.adj, g.n, deadline, cycle_bounds(g).longest)[0]
+
+
 def cycle_of_length(g: Graph, t: int, deadline=None) -> Optional[tuple[int, ...]]:
     """A cycle on exactly ``t`` vertices, or None if no such cycle exists."""
     if t < 3 or t > g.n:
         raise ParameterError(f"cycle length {t} outside [3, {g.n}]")
+    if cycle_bounds(g).rules_out(t):
+        return None
     path = _kernel.find_cycle_of_length(g.adj, g.n, t, deadline)
     if path is None:
         return None
@@ -69,9 +100,7 @@ def cycle_of_length(g: Graph, t: int, deadline=None) -> Optional[tuple[int, ...]
 
 
 def is_hamiltonian(g: Graph, deadline=None) -> bool:
-    if g.n < 3:
-        return False
-    return _kernel.find_cycle_of_length(g.adj, g.n, g.n, deadline) is not None
+    return g.n >= 3 and cycle_of_length(g, g.n, deadline) is not None
 
 
 def spectrum_up_to(g: Graph, top: int, deadline=None) -> dict[int, tuple[int, ...]]:
@@ -80,7 +109,8 @@ def spectrum_up_to(g: Graph, top: int, deadline=None) -> dict[int, tuple[int, ..
     top = min(top, g.n)
     if top < 3:
         return out
-    c, _ = longest_cycle(g, deadline)
+    # only min(c, top) is needed, and a capped search gives it exactly
+    c, _ = _kernel.find_longest_cycle(g.adj, g.n, deadline, min(top, cycle_bounds(g).longest))
     for t in range(3, min(top, c) + 1):
         w = cycle_of_length(g, t, deadline)
         if w is not None:
@@ -116,14 +146,17 @@ class SpectrumReport:
         return payload
 
 
-def cycle_spectrum(g: Graph, deadline=None) -> SpectrumReport:
+def cycle_spectrum(g: Graph, deadline=None, c: Optional[int] = None) -> SpectrumReport:
     """Exact spectrum over [3, n].  Lengths above the longest cycle are
-    absent by definition of c, so only lengths up to c are searched.
+    absent by definition of c, so only lengths up to c are searched, and
+    odd lengths the blocks rule out are skipped.  ``c``, when the caller
+    already has it, must be the exact circumference.
 
     On deadline expiry the per-length results found so far are returned
     with ``timed_out`` set; the initial longest-cycle search has no partial
     form, so its expiry still raises."""
-    c, _ = longest_cycle(g, deadline)
+    if c is None:
+        c = circumference(g, deadline)
     flags = [False] * max(0, g.n - 2)
     witnesses: dict[int, tuple[int, ...]] = {}
     timed_out = False
@@ -159,19 +192,31 @@ class BoundReport:
         }
 
 
-def check_erdos_gallai(g: Graph, deadline=None) -> BoundReport:
-    """Edge-count lower bound on the longest cycle: if e >= n then c*n > 2e."""
+Circumference = Callable[[], int]
+
+
+def _circumference_of(g: Graph, deadline, known: Optional[Circumference]) -> int:
+    return known() if known is not None else circumference(g, deadline)
+
+
+def check_erdos_gallai(g: Graph, deadline=None,
+                       known_c: Optional[Circumference] = None) -> BoundReport:
+    """Edge-count lower bound on the longest cycle: if e >= n then c*n > 2e.
+
+    ``known_c``, shared by the three checks of one graph, returns its
+    circumference on demand, so one search serves them all."""
     n, e = g.n, g.edge_count()
     gate = Comparison.make("applicable-edges-at-least-order", e, ">=", max(n, 1))
     if n == 0 or not gate.holds:
         return BoundReport("erdos-gallai", False, None, (gate,), {"n": n, "e": e})
-    c, _ = longest_cycle(g, deadline)
+    c = _circumference_of(g, deadline, known_c)
     main = Comparison.make("longest-cycle-exceeds-average-degree", c * n, ">", 2 * e)
     return BoundReport("erdos-gallai", True, main.holds, (gate, main),
                        {"n": n, "e": e, "c": c})
 
 
-def check_fan_lv_weng(g: Graph, deadline=None) -> BoundReport:
+def check_fan_lv_weng(g: Graph, deadline=None,
+                      known_c: Optional[Circumference] = None) -> BoundReport:
     """Two-connected edge bound plus its long-cycle corollary.
 
     Sub-check (a): e <= C(c+1-floor(c/2), 2) + floor(c/2) * (n-c-1+floor(c/2)).
@@ -181,7 +226,7 @@ def check_fan_lv_weng(g: Graph, deadline=None) -> BoundReport:
     n, e = g.n, g.edge_count()
     if not is_two_connected(g):
         return BoundReport("fan-lv-weng", False, None, (), {"n": n, "e": e})
-    c, _ = longest_cycle(g, deadline)
+    c = _circumference_of(g, deadline, known_c)
     ham = c == n
     half = c // 2
     rhs_a = comb(c + 1 - half, 2) + half * (n - c - 1 + half)
@@ -202,14 +247,15 @@ def check_fan_lv_weng(g: Graph, deadline=None) -> BoundReport:
                        (cmp_a, cmp_b), {"n": n, "e": e, "c": c})
 
 
-def check_bollobas_pancyclicity(g: Graph, deadline=None) -> BoundReport:
+def check_bollobas_pancyclicity(g: Graph, deadline=None,
+                                known_c: Optional[Circumference] = None) -> BoundReport:
     """Density above n^2/4 forces every cycle length up to the longest."""
     n, e = g.n, g.edge_count()
     gate = Comparison.make("applicable-density", 4 * e, ">", n * n)
     if not gate.holds:
         return BoundReport("bollobas-pancyclicity", False, None, (gate,),
                            {"n": n, "e": e})
-    report = cycle_spectrum(g, deadline)
+    report = cycle_spectrum(g, deadline, _circumference_of(g, deadline, known_c))
     missing = [t for t in range(3, report.c + 1) if not report.has(t)]
     cmp_cover = Comparison.make(
         "spectrum-covers-range", len(missing), "==", 0,

@@ -41,7 +41,8 @@ def lowest_bit(mask: int) -> int:
 class Graph:
     """Immutable undirected simple graph on ``n`` <= 64 vertices."""
 
-    __slots__ = ("n", "adj", "labels")
+    # _cycle_bounds memoises cycles.cycle_bounds, a pure function of adj
+    __slots__ = ("n", "adj", "labels", "_cycle_bounds")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[int]] = None):
         if n < 0 or n > MAX_VERTICES:
@@ -61,6 +62,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "_cycle_bounds", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -93,9 +95,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
-
-    def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
 
     def degree_within(self, v: int, within: int) -> int:
         return (self.adj[v] & within).bit_count()
@@ -173,50 +172,64 @@ def components(g: Graph, within: Optional[int] = None) -> list[int]:
     return out
 
 
-def cut_vertices(g: Graph, within: Optional[int] = None) -> int:
-    """Articulation vertices (union over components) as a bitmask."""
-    scope = g.full_mask() if within is None else within
-    visited = 0
-    disc = {}
-    low = {}
-    arts = 0
-    counter = 0
+def blocks(g: Graph, within: Optional[int] = None) -> list[int]:
+    """Biconnected blocks that hold an edge, as vertex masks.
 
+    One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973).  A stack holds
+    the vertices whose block is still open; when a child's low point does
+    not climb above its parent, the parent plus the stacked vertices down
+    to the child close one block.  Every cycle lies inside one block.
+    ``within`` restricts the graph to a vertex subset without relabeling.
+    """
+    scope = g.full_mask() if within is None else within
+    disc = [-1] * g.n
+    low = [0] * g.n
+    counter = 0
+    out = []
     for root in bits(scope):
-        if (visited >> root) & 1:
+        if disc[root] >= 0:
             continue
-        # iterative DFS, tracking discovery/low values
-        stack = [(root, -1, iter(bits(g.adj[root] & scope)))]
         disc[root] = low[root] = counter
         counter += 1
-        visited |= 1 << root
-        root_children = 0
+        stack = [(root, bits(g.adj[root] & scope))]
+        open_vertices = [root]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, it = stack[-1]
             for u in it:
-                if not (visited >> u) & 1:
-                    visited |= 1 << u
+                if disc[u] < 0:
                     disc[u] = low[u] = counter
                     counter += 1
-                    stack.append((u, v, iter(bits(g.adj[u] & scope))))
-                    advanced = True
+                    open_vertices.append(u)
+                    stack.append((u, bits(g.adj[u] & scope)))
                     break
-                elif u != parent:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
+                # the tree edge back to the parent lowers low[v] at most to
+                # disc[parent], which the block test below still accepts
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
                 stack.pop()
                 if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if pv == root:
-                        root_children += 1
-                    elif low[v] >= disc[pv]:
-                        arts |= 1 << pv
-        if root_children >= 2:
-            arts |= 1 << root
+                    parent = stack[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        block = 1 << parent
+                        while True:
+                            w = open_vertices.pop()
+                            block |= 1 << w
+                            if w == v:
+                                break
+                        out.append(block)
+    return out
+
+
+def cut_vertices(g: Graph, within: Optional[int] = None) -> int:
+    """Articulation vertices (union over components) as a bitmask: the
+    vertices that lie in more than one block."""
+    seen = arts = 0
+    for block in blocks(g, within):
+        arts |= seen & block
+        seen |= block
     return arts
 
 

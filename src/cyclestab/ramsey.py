@@ -481,7 +481,8 @@ class SweepReport:
 
 
 def _shard_ranges(space: int, shards: int) -> list[tuple[int, int]]:
-    shards = max(1, shards)
+    if shards < 1:
+        raise ParameterError(f"shard count must be at least 1, got {shards}")
     step, extra = divmod(space, shards)
     out = []
     lo = 0
@@ -622,7 +623,7 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
         n=n, beta=beta, p=p, mode=mode, seed=seed, samples=samples,
         total=total, mono_found=mono * scale, certificate_found=cert_found,
         failures=failures, failure_exemplars=tuple(exemplars),
-        shards=max(1, shards), shard_ranges=tuple(ranges),
+        shards=shards, shard_ranges=tuple(ranges),
         wall_seconds=monotonic() - started)
 
 
@@ -812,5 +813,5 @@ def verdict_sample_sweep(order: int, samples: int, seed: int = 0, shards: int = 
                 "coloring": serialize_coloring(coloring_from_red_mask(order, red)),
             })
     return VerdictSweepReport(order, (order + 1) // 2, samples, seed, counts,
-                              tuple(neither), max(1, shards),
+                              tuple(neither), shards,
                               monotonic() - started)

@@ -221,6 +221,43 @@ def test_malformed_graph(files, capsys):
     assert json.loads(out)["error_kind"] == "GraphFormatError"
 
 
+def test_non_utf8_input(files, capsys):
+    bad = files["tmp"] / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\n")
+    for argv in (["spectrum", "--graph", str(bad)],
+                 ["ramsey-cert", "--coloring", str(bad), "--n", "5", "--beta", "2/5"],
+                 ["verify", "--coloring", str(bad), "--certificate", str(bad)]):
+        code, out = _run(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error_kind"] == "GraphFormatError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramsey-sweep", "--n", "4", "--beta", "1/2", "--serial"],
+    ["arrth", "--n", "4", "--samples", "5", "--serial"],
+], ids=["ramsey-sweep", "arrth"])
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_nonpositive_shards(capsys, argv, shards):
+    code, out = _run(capsys, argv + ["--shards", shards])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "ParameterError"
+
+
+def test_bounds_one_longest_cycle_search(files, capsys, monkeypatch):
+    from cyclestab import _kernel
+
+    k6 = files["tmp"] / "k6.g6"
+    k6.write_text(to_graph6(complete(6)) + "\n")
+    calls = []
+    search = _kernel.find_longest_cycle
+    monkeypatch.setattr(_kernel, "find_longest_cycle",
+                        lambda *args: calls.append(args) or search(*args))
+    code, out = _run(capsys, ["bounds", "--graph", str(k6)])
+    assert code == 0
+    assert all(b["applicable"] for b in json.loads(out)["result"]["bounds"])
+    assert len(calls) == 1
+
+
 def test_timeout_exit_code(files, capsys, tmp_path):
     # a 7x7 grid forces a long longest-cycle search; 0 seconds must time out
     side = 7

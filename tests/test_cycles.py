@@ -15,7 +15,7 @@ from cyclestab.cycles import (
     longest_cycle,
     validate_cycle,
 )
-from cyclestab.errors import ParameterError
+from cyclestab.errors import ParameterError, SearchTimeout
 from cyclestab.graph import build_graph, is_two_connected
 
 from conftest import (
@@ -153,6 +153,14 @@ def test_theorem_as_test_on_random_graphs():
             assert r.passed
         if 4 * g.edge_count() > g.n * g.n:
             assert check_bollobas_pancyclicity(g).passed
+
+
+def test_expired_deadline_stops_a_short_search():
+    # a triangle of K5 is found within a few nodes, far below one stride
+    from time import monotonic
+
+    with pytest.raises(SearchTimeout):
+        cycle_of_length(complete(5), 3, deadline=monotonic() - 1.0)
 
 
 def test_hamiltonian_flag():

@@ -25,6 +25,9 @@ def test_cycle_search_parity():
         g = random_graph(rng, rng.randint(1, 11), rng.random())
         assert _pure.find_longest_cycle(g.adj, g.n) == \
             compiled.find_longest_cycle(g.adj, g.n)
+        for cap in range(g.n + 2):
+            assert _pure.find_longest_cycle(g.adj, g.n, None, cap) == \
+                compiled.find_longest_cycle(g.adj, g.n, None, cap)
         for t in range(3, g.n + 1):
             assert _pure.find_cycle_of_length(g.adj, g.n, t) == \
                 compiled.find_cycle_of_length(g.adj, g.n, t)
@@ -65,3 +68,8 @@ def test_deadline_raises():
         _pure.find_longest_cycle(g.adj, g.n, deadline)
     with pytest.raises(SearchTimeout):
         compiled.find_longest_cycle(g.adj, g.n, deadline)
+    # the clock is read on a search's first node, so even a search that
+    # would finish within one stride stops
+    for backend in (_pure, compiled):
+        with pytest.raises(SearchTimeout):
+            backend.find_cycle_of_length(g.adj, g.n, 4, deadline)
