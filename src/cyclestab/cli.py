@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from time import monotonic
 
 from . import __version__
@@ -27,7 +26,6 @@ from .cycles import (
     check_bollobas_pancyclicity,
     check_erdos_gallai,
     check_fan_lv_weng,
-    circumference,
     cycle_spectrum,
 )
 from .errors import (
@@ -253,9 +251,8 @@ def _run_bounds(args):
     data, text = _read_text(args.graph)
     g = parse_graph(text)
     deadline = _deadline(args)
-    known_c = cache(lambda: circumference(g, deadline))
-    reports = [check(g, deadline, known_c) for check in
-               (check_erdos_gallai, check_fan_lv_weng, check_bollobas_pancyclicity)]
+    reports = [check_erdos_gallai(g, deadline), check_fan_lv_weng(g, deadline),
+               check_bollobas_pancyclicity(g, deadline)]
     failed = [r.name for r in reports if r.applicable and not r.passed]
     result = {"bounds": [r.to_payload() for r in reports]}
     code = EXIT_FAIL if failed else EXIT_OK

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import _kernel
 from .errors import ParameterError, SearchTimeout
-from .graph import Graph, bipartition, blocks, is_two_connected
+from .graph import Graph, blocks, is_two_connected
 from .reporting import Comparison
 
 
@@ -41,14 +41,6 @@ def validate_cycle(g: Graph, seq, t: Optional[int] = None) -> bool:
     return g.has_edge(seq[-1], seq[0])
 
 
-def longest_cycle(g: Graph, deadline=None) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Exact longest cycle length with a witness; (0, None) when acyclic."""
-    length, path = _kernel.find_longest_cycle(g.adj, g.n, deadline)
-    if length == 0:
-        return 0, None
-    return length, _canonical_cycle(path)
-
-
 class CycleBounds(NamedTuple):
     """Cycle lengths that a graph's blocks rule out.
 
@@ -65,26 +57,37 @@ class CycleBounds(NamedTuple):
         return t > self.longest or (t % 2 == 1 and t > self.longest_odd)
 
 
+def _block_bounds(g: Graph) -> CycleBounds:
+    longest = longest_odd = 0
+    for block in blocks(g):
+        size = block.vertices.bit_count()
+        if block.side is None:
+            longest = max(longest, size)
+            longest_odd = max(longest_odd, size)
+        else:
+            half = block.side.bit_count()
+            longest = max(longest, 2 * min(half, size - half))
+    return CycleBounds(longest, longest_odd)
+
+
 def cycle_bounds(g: Graph) -> CycleBounds:
-    """The block bounds of ``g``, computed once per graph and kept on it."""
-    if g._cycle_bounds is None:
-        longest = longest_odd = 0
-        for block in blocks(g):
-            sides = bipartition(g, within=block)
-            if sides is None:
-                size = block.bit_count()
-                longest = max(longest, size)
-                longest_odd = max(longest_odd, size)
-            else:
-                longest = max(longest, 2 * sides[0].bit_count())
-        object.__setattr__(g, "_cycle_bounds", CycleBounds(longest, longest_odd))
-    return g._cycle_bounds
+    """The block bounds of ``g``, computed once per graph."""
+    return g.memo("cycle_bounds", lambda: _block_bounds(g))
 
 
-def circumference(g: Graph, deadline=None) -> int:
-    """Exact longest cycle length, 0 when acyclic; the search stops at the
-    block bound once it reaches it."""
-    return _kernel.find_longest_cycle(g.adj, g.n, deadline, cycle_bounds(g).longest)[0]
+def _longest_cycle(g: Graph, deadline) -> tuple[int, Optional[tuple[int, ...]]]:
+    # c never exceeds the block bound, and the search keeps only strictly
+    # longer cycles, so stopping at the bound keeps the uncapped witness
+    length, path = _kernel.find_longest_cycle(g.adj, g.n, deadline, cycle_bounds(g).longest)
+    if length == 0:
+        return 0, None
+    return length, _canonical_cycle(path)
+
+
+def longest_cycle(g: Graph, deadline=None) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Exact longest cycle length with a witness; (0, None) when acyclic.
+    Computed once per graph."""
+    return g.memo("longest_cycle", lambda: _longest_cycle(g, deadline))
 
 
 def cycle_of_length(g: Graph, t: int, deadline=None) -> Optional[tuple[int, ...]]:
@@ -146,17 +149,15 @@ class SpectrumReport:
         return payload
 
 
-def cycle_spectrum(g: Graph, deadline=None, c: Optional[int] = None) -> SpectrumReport:
+def cycle_spectrum(g: Graph, deadline=None) -> SpectrumReport:
     """Exact spectrum over [3, n].  Lengths above the longest cycle are
     absent by definition of c, so only lengths up to c are searched, and
-    odd lengths the blocks rule out are skipped.  ``c``, when the caller
-    already has it, must be the exact circumference.
+    odd lengths the blocks rule out are skipped.
 
     On deadline expiry the per-length results found so far are returned
     with ``timed_out`` set; the initial longest-cycle search has no partial
     form, so its expiry still raises."""
-    if c is None:
-        c = circumference(g, deadline)
+    c, _ = longest_cycle(g, deadline)
     flags = [False] * max(0, g.n - 2)
     witnesses: dict[int, tuple[int, ...]] = {}
     timed_out = False
@@ -192,31 +193,19 @@ class BoundReport:
         }
 
 
-Circumference = Callable[[], int]
-
-
-def _circumference_of(g: Graph, deadline, known: Optional[Circumference]) -> int:
-    return known() if known is not None else circumference(g, deadline)
-
-
-def check_erdos_gallai(g: Graph, deadline=None,
-                       known_c: Optional[Circumference] = None) -> BoundReport:
-    """Edge-count lower bound on the longest cycle: if e >= n then c*n > 2e.
-
-    ``known_c``, shared by the three checks of one graph, returns its
-    circumference on demand, so one search serves them all."""
+def check_erdos_gallai(g: Graph, deadline=None) -> BoundReport:
+    """Edge-count lower bound on the longest cycle: if e >= n then c*n > 2e."""
     n, e = g.n, g.edge_count()
     gate = Comparison.make("applicable-edges-at-least-order", e, ">=", max(n, 1))
     if n == 0 or not gate.holds:
         return BoundReport("erdos-gallai", False, None, (gate,), {"n": n, "e": e})
-    c = _circumference_of(g, deadline, known_c)
+    c, _ = longest_cycle(g, deadline)
     main = Comparison.make("longest-cycle-exceeds-average-degree", c * n, ">", 2 * e)
     return BoundReport("erdos-gallai", True, main.holds, (gate, main),
                        {"n": n, "e": e, "c": c})
 
 
-def check_fan_lv_weng(g: Graph, deadline=None,
-                      known_c: Optional[Circumference] = None) -> BoundReport:
+def check_fan_lv_weng(g: Graph, deadline=None) -> BoundReport:
     """Two-connected edge bound plus its long-cycle corollary.
 
     Sub-check (a): e <= C(c+1-floor(c/2), 2) + floor(c/2) * (n-c-1+floor(c/2)).
@@ -226,7 +215,7 @@ def check_fan_lv_weng(g: Graph, deadline=None,
     n, e = g.n, g.edge_count()
     if not is_two_connected(g):
         return BoundReport("fan-lv-weng", False, None, (), {"n": n, "e": e})
-    c = _circumference_of(g, deadline, known_c)
+    c, _ = longest_cycle(g, deadline)
     ham = c == n
     half = c // 2
     rhs_a = comb(c + 1 - half, 2) + half * (n - c - 1 + half)
@@ -247,15 +236,14 @@ def check_fan_lv_weng(g: Graph, deadline=None,
                        (cmp_a, cmp_b), {"n": n, "e": e, "c": c})
 
 
-def check_bollobas_pancyclicity(g: Graph, deadline=None,
-                                known_c: Optional[Circumference] = None) -> BoundReport:
+def check_bollobas_pancyclicity(g: Graph, deadline=None) -> BoundReport:
     """Density above n^2/4 forces every cycle length up to the longest."""
     n, e = g.n, g.edge_count()
     gate = Comparison.make("applicable-density", 4 * e, ">", n * n)
     if not gate.holds:
         return BoundReport("bollobas-pancyclicity", False, None, (gate,),
                            {"n": n, "e": e})
-    report = cycle_spectrum(g, deadline, _circumference_of(g, deadline, known_c))
+    report = cycle_spectrum(g, deadline)
     missing = [t for t in range(3, report.c + 1) if not report.has(t)]
     cmp_cover = Comparison.make(
         "spectrum-covers-range", len(missing), "==", 0,

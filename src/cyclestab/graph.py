@@ -11,11 +11,13 @@ original host vertices, so certificates can always name host vertices.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ParameterError
 
 MAX_VERTICES = 64
+
+T = TypeVar("T")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -41,8 +43,7 @@ def lowest_bit(mask: int) -> int:
 class Graph:
     """Immutable undirected simple graph on ``n`` <= 64 vertices."""
 
-    # _cycle_bounds memoises cycles.cycle_bounds, a pure function of adj
-    __slots__ = ("n", "adj", "labels", "_cycle_bounds")
+    __slots__ = ("n", "adj", "labels", "_memo")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[int]] = None):
         if n < 0 or n > MAX_VERTICES:
@@ -62,10 +63,19 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "_cycle_bounds", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def memo(self, key: str, compute: Callable[[], T]) -> T:
+        """``compute()``, run once per graph and key and kept on the graph,
+        for data derived from the edges alone.  A call that raises (a
+        search past its deadline, say) keeps nothing."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -172,54 +182,83 @@ def components(g: Graph, within: Optional[int] = None) -> list[int]:
     return out
 
 
-def blocks(g: Graph, within: Optional[int] = None) -> list[int]:
-    """Biconnected blocks that hold an edge, as vertex masks.
+class Block(NamedTuple):
+    """A biconnected block: its vertex mask, and the mask of one side of
+    its bipartition, or None when the block holds an odd cycle."""
+
+    vertices: int
+    side: Optional[int]
+
+
+def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
+    """Biconnected blocks that hold an edge.
 
     One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973).  A stack holds
     the vertices whose block is still open; when a child's low point does
     not climb above its parent, the parent plus the stacked vertices down
     to the child close one block.  Every cycle lies inside one block.
+
+    Tree edges join depths of opposite parity, and a back edge lies in the
+    block of the tree edge above its lower end.  So a block is bipartite,
+    with depth parity as its sides, unless one of its back edges joins two
+    depths of the same parity.
     ``within`` restricts the graph to a vertex subset without relabeling.
     """
     scope = g.full_mask() if within is None else within
-    disc = [-1] * g.n
+    adj = g.adj
+    disc = [0] * g.n
     low = [0] * g.n
     counter = 0
+    visited = 0
+    even = 0  # vertices at even depth
+    odd = 0   # vertices with a back edge to an ancestor at the same parity
     out = []
     for root in bits(scope):
-        if disc[root] >= 0:
+        if (visited >> root) & 1:
             continue
+        visited |= 1 << root
+        even |= 1 << root
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, bits(g.adj[root] & scope))]
+        stack = [root]
         open_vertices = [root]
         while stack:
-            v, it = stack[-1]
-            for u in it:
-                if disc[u] < 0:
-                    disc[u] = low[u] = counter
-                    counter += 1
-                    open_vertices.append(u)
-                    stack.append((u, bits(g.adj[u] & scope)))
-                    break
-                # the tree edge back to the parent lowers low[v] at most to
-                # disc[parent], which the block test below still accepts
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        block = 1 << parent
-                        while True:
-                            w = open_vertices.pop()
-                            block |= 1 << w
-                            if w == v:
-                                break
-                        out.append(block)
+            v = stack[-1]
+            cand = adj[v] & scope & ~visited
+            if cand:
+                u = (cand & -cand).bit_length() - 1
+                bit = 1 << u
+                visited |= bit
+                if len(stack) % 2 == 0:
+                    even |= bit
+                disc[u] = low[u] = counter
+                counter += 1
+                # u's visited neighbours are its ancestors, the parent among
+                # them; the parent lowers low[u] at most to disc[v], which
+                # the block test below still accepts
+                back = adj[u] & visited
+                if back & (even if even & bit else ~even):
+                    odd |= bit
+                for w in bits(back):
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+                stack.append(u)
+                open_vertices.append(u)
+                continue
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    closed = 0
+                    while True:
+                        w = open_vertices.pop()
+                        closed |= 1 << w
+                        if w == v:
+                            break
+                    block = closed | 1 << parent
+                    out.append(Block(block, None if closed & odd else block & even))
     return out
 
 
@@ -228,8 +267,8 @@ def cut_vertices(g: Graph, within: Optional[int] = None) -> int:
     vertices that lie in more than one block."""
     seen = arts = 0
     for block in blocks(g, within):
-        arts |= seen & block
-        seen |= block
+        arts |= seen & block.vertices
+        seen |= block.vertices
     return arts
 
 

@@ -14,11 +14,11 @@ from cyclestab.cli import main
 from cyclestab.coloring import coloring_from_edges, serialize_coloring
 from cyclestab.cycles import (
     _canonical_cycle,
-    circumference,
     cycle_bounds,
     cycle_of_length,
     cycle_spectrum,
     is_hamiltonian,
+    longest_cycle,
     spectrum_up_to,
 )
 from cyclestab.graph import bits, blocks, build_graph, cut_vertices, mask_of
@@ -63,8 +63,17 @@ def test_blocks_match_networkx():
         within = rng.getrandbits(g.n) if rng.random() < 0.5 else None
         G = _nx(g, within)
         want = sorted(mask_of(b) for b in nx.biconnected_components(G) if len(b) >= 3)
-        assert sorted(b for b in blocks(g, within) if b.bit_count() >= 3) == want
+        found = blocks(g, within)
+        assert sorted(b.vertices for b in found if b.vertices.bit_count() >= 3) == want
         assert cut_vertices(g, within) == mask_of(nx.articulation_points(G))
+        for block in found:
+            B = G.subgraph(bits(block.vertices))
+            if block.side is None:
+                assert not nx.is_bipartite(B)
+            else:
+                side = set(bits(block.side))
+                assert side and side < set(B)
+                assert all((u in side) != (v in side) for u, v in B.edges)
 
 
 def test_cycle_bounds_examples():
@@ -73,6 +82,7 @@ def test_cycle_bounds_examples():
     assert cycle_bounds(build_graph(4, [(0, 1), (1, 2), (2, 3)])) == (2, 0)
     g = two_disjoint_cliques(4)
     assert cycle_bounds(g) is cycle_bounds(g)  # computed once per graph
+    assert longest_cycle(g) is longest_cycle(g)
 
 
 def _raw_of_length(g, t):
@@ -83,11 +93,14 @@ def _raw_of_length(g, t):
 def _assert_matches_raw(g, lengths=None):
     """Every searched length equals the raw kernel; ``lengths`` (when given)
     are the lengths present, and the raw kernel is asked only about them."""
-    c = _pure.find_longest_cycle(g.adj, g.n)[0] if lengths is None else max(lengths)
     if lengths is None:
+        c, path = _pure.find_longest_cycle(g.adj, g.n)
+        assert longest_cycle(g) == (c, None if path is None else _canonical_cycle(path))
         lengths = [t for t in range(3, g.n + 1) if _raw_of_length(g, t) is not None]
+    else:
+        c = max(lengths)
+        assert longest_cycle(g)[0] == c
     raw = {t: _raw_of_length(g, t) for t in lengths}
-    assert circumference(g) == c
     report = cycle_spectrum(g)
     assert (report.c, report.witnesses) == (c, raw)
     for t in range(3, g.n + 1):
