@@ -1,19 +1,5 @@
-"""Build script: compiles the search kernels when Cython is available.
+"""Build script: the package is pure Python; the metadata is in pyproject.toml."""
 
-The package works without the extension (a pure-Python fallback is selected
-at import time), but the exhaustive coloring sweeps are much faster with it.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("cyclestab._core", ["src/cyclestab/_core.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,24 +1,187 @@
-"""Kernel backend selection.
+"""Exact search kernels: the hot loops every cycle search runs.
 
-The compiled extension is preferred when importable; the pure-Python
-fallback is selected otherwise.  Set ``CYCLESTAB_PURE=1`` to force the
-fallback (useful for benchmarks and cross-checking).
+Witnesses depend on search order (anchors ascending, neighbors ascending),
+so reports are reproducible byte for byte.
+
+Longest-cycle / fixed-length searches run a DFS over simple paths anchored
+at the minimum vertex of the cycle being sought, with two prunes: a
+bitset reachability bound on the achievable cycle length, and a
+best-so-far (resp. target-length) cutoff.  ``_reach_from`` and
+``_check_deadline`` are the package's one reachability loop and one
+deadline check; the spanning-path search and ``graph.components`` use
+them too.
 """
 
 from __future__ import annotations
 
-import os
+from time import monotonic
 
-if os.environ.get("CYCLESTAB_PURE"):
-    from . import _pure as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _pure as _impl
+from .errors import SearchTimeout
 
-find_longest_cycle = _impl.find_longest_cycle
-find_cycle_of_length = _impl.find_cycle_of_length
-sweep_filter_range = _impl.sweep_filter_range
+backend_name = "pure"  # the ``meta.backend`` of every report
 
-backend_name = "compiled" if _impl.__name__.endswith("._core") else "pure"
+_DEADLINE_STRIDE = 2048
+
+
+def _check_deadline(nodes: int, deadline, search: str = "exact cycle search") -> None:
+    """Called on every DFS node; looks at the clock on a search's first node
+    and on every ``_DEADLINE_STRIDE``-th after it, so an expired deadline
+    always stops a search."""
+    if deadline is not None and nodes % _DEADLINE_STRIDE == 1 and monotonic() > deadline:
+        raise SearchTimeout(f"{search} exceeded its deadline")
+
+
+def _reach_from(adj, cand: int, free: int) -> int:
+    """``cand`` (a subset of ``free``) and the vertices of ``free`` reachable
+    from it inside ``free``."""
+    reach = 0
+    frontier = cand
+    while frontier:
+        reach |= frontier
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= adj[v]
+        frontier = nxt & free & ~reach
+    return reach
+
+
+def find_longest_cycle(adj, n: int, deadline=None, cap=None):
+    """Exact longest cycle length and one witness path, or (0, None).
+
+    With ``cap`` the search stops once it holds a cycle of ``cap`` or more
+    vertices, so ``min(length, cap) == min(c, cap)``; when c <= cap the
+    result is the uncapped one, witness included.
+    """
+    if n < 3:
+        return 0, None
+    if cap is None or cap > n:
+        cap = n
+    best_len = 0
+    best_path = None
+    allowed = (1 << n) - 1
+    path = []
+    nodes = 0
+
+    def dfs(u: int, visited: int, a: int) -> bool:
+        """True once the best cycle found reaches ``cap``."""
+        nonlocal best_len, best_path, nodes
+        nodes += 1
+        _check_deadline(nodes, deadline)
+        depth = len(path)
+        if depth >= 3 and (adj[u] >> a) & 1 and depth > best_len:
+            best_len = depth
+            best_path = path.copy()
+            if depth >= cap:
+                return True
+        free = allowed & ~visited
+        cand = adj[u] & free
+        if not cand:
+            return False
+        reach = _reach_from(adj, cand, free)
+        if depth + reach.bit_count() <= best_len:
+            return False
+        if not (adj[a] & reach):
+            return False
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            path.append(v)
+            if dfs(v, visited | (1 << v), a):
+                return True
+            path.pop()
+        return False
+
+    for a in range(n):
+        if allowed.bit_count() <= best_len:
+            break
+        path.clear()
+        path.append(a)
+        if dfs(a, 1 << a, a):
+            break
+        allowed &= ~(1 << a)
+    return best_len, best_path
+
+
+def find_cycle_of_length(adj, n: int, t: int, deadline=None):
+    """First cycle with exactly ``t`` vertices in search order, or None."""
+    if t < 3 or t > n:
+        return None
+    allowed = (1 << n) - 1
+    path = []
+    nodes = 0
+
+    def dfs(u: int, visited: int, a: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        _check_deadline(nodes, deadline)
+        depth = len(path)
+        if depth == t:
+            return bool((adj[u] >> a) & 1)
+        free = allowed & ~visited
+        cand = adj[u] & free
+        if not cand:
+            return False
+        reach = _reach_from(adj, cand, free)
+        if depth + reach.bit_count() < t:
+            return False
+        if not (adj[a] & reach):
+            return False
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            path.append(v)
+            if dfs(v, visited | (1 << v), a):
+                return True
+            path.pop()
+        return False
+
+    for a in range(n):
+        if allowed.bit_count() < t:
+            break
+        path.clear()
+        path.append(a)
+        if dfs(a, 1 << a, a):
+            return path.copy()
+        allowed &= ~(1 << a)
+    return None
+
+
+def sweep_filter_range(cycle_masks, m: int, start: int, stop: int):
+    """Filter a counter range of edge 2-colorings of a fixed host.
+
+    Counter ``c`` maps to the red edge mask ``(c << 1) | 1``: the first edge
+    is pinned red (symmetry halving).  A coloring is monochromatic when one
+    of ``cycle_masks`` (cycle edge sets) is a subset of either color.  Returns (mono count, red masks with no
+    monochromatic cycle, in counter order).  The denser color is scanned
+    first; the verdict does not depend on scan order.
+    """
+    full = (1 << m) - 1
+    mono = 0
+    monofree = []
+    for c in range(start, stop):
+        red = (c << 1) | 1
+        blue = red ^ full
+        if 2 * red.bit_count() >= m:
+            first, second = red, blue
+        else:
+            first, second = blue, red
+        found = False
+        for mask in cycle_masks:
+            if not (mask & ~first):
+                found = True
+                break
+        if not found:
+            for mask in cycle_masks:
+                if not (mask & ~second):
+                    found = True
+                    break
+        if found:
+            mono += 1
+        else:
+            monofree.append(red)
+    return mono, monofree

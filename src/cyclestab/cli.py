@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=int(os.environ.get("CYCLESTAB_THREADS", "1")))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--override-space", action="store_true",
-                   help="allow exhaustive sweeps beyond 30 edges")
+                   help="allow exhaustive sweeps beyond 30 edges and "
+                        "sweeps beyond 10^6 cycle masks")
     p.add_argument("--checkpoint", default=None,
                    help="plain-text progress file, one line per shard")
     p.add_argument("--serial", action="store_true",
@@ -278,11 +279,11 @@ def _run_paths(args):
     elif args.op == "bip-path":
         if args.x is None or args.y is None or args.t is None:
             raise ParameterError("--x, --y and --t are required for op bip-path")
-        result = bipartite_path(g, args.x, args.y, args.t, deadline).to_payload()
+        result = bipartite_path(g, args.x, args.y, args.t).to_payload()
     else:
         if args.t is None:
             raise ParameterError("--t is required for op bip-cycle")
-        result = {"cycle": list(bipartite_even_cycle(g, args.t, deadline))}
+        result = {"cycle": list(bipartite_even_cycle(g, args.t))}
     return _report_skeleton(args, content_digest(data), parameters, result), EXIT_OK
 
 

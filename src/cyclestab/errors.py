@@ -55,7 +55,8 @@ class MalformedCertificateError(CycleStabError):
 
 
 class SweepSpaceError(CycleStabError):
-    """Exhaustive sweep space too large without an explicit override."""
+    """Exhaustive sweep space, or its list of cycle masks, too large
+    without an explicit override."""
 
 
 class SearchTimeout(CycleStabError):

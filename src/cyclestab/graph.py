@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
+from ._kernel import _reach_from
 from .errors import ParameterError
 
 MAX_VERTICES = 64
@@ -67,6 +68,11 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # rebuilt through __init__ (the memo is not carried), since
+        # unpickling slots directly would go through __setattr__
+        return Graph, (self.n, self.adj, self.labels)
 
     def memo(self, key: str, compute: Callable[[], T]) -> T:
         """``compute()``, run once per graph and key and kept on the graph,
@@ -168,15 +174,7 @@ def components(g: Graph, within: Optional[int] = None) -> list[int]:
     remaining = g.full_mask() if within is None else within
     out = []
     while remaining:
-        start = remaining & -remaining
-        comp = 0
-        frontier = start
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & remaining & ~comp
+        comp = _reach_from(g.adj, remaining & -remaining, remaining)
         out.append(comp)
         remaining &= ~comp
     return out

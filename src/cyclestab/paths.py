@@ -11,15 +11,14 @@ with ties broken by smallest index, then smallest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 from typing import Optional
 
+from ._kernel import _check_deadline, _reach_from
 from .errors import (
     HypothesisViolatedError,
     InternalContradictionError,
     NoSuchPathError,
     ParameterError,
-    SearchTimeout,
 )
 from .graph import Graph, bipartition, bits, induced, lowest_bit
 
@@ -139,8 +138,7 @@ def _exact_spanning_path(adj, n: int, x: int, y: int, deadline=None) -> Optional
     def dfs(u: int, visited: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if deadline is not None and nodes % 2048 == 0 and monotonic() > deadline:
-            raise SearchTimeout("spanning-path search exceeded its deadline")
+        _check_deadline(nodes, deadline, "spanning-path search")
         free = full & ~visited
         if free == ybit:
             if adj[u] & ybit:
@@ -153,17 +151,7 @@ def _exact_spanning_path(adj, n: int, x: int, y: int, deadline=None) -> Optional
         # every remaining vertex must stay reachable without crossing y,
         # and y must have a neighbor among them
         transit = free & transit_all
-        reach = 0
-        frontier = cand
-        while frontier:
-            reach |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[v]
-            frontier = nxt & transit & ~reach
+        reach = _reach_from(adj, cand, transit)
         if transit & ~reach:
             return False
         if not (adj[y] & (reach | (1 << u))):
@@ -238,7 +226,7 @@ def _bipartite_context(g: Graph):
     return a, b, delta, top
 
 
-def bipartite_path(g: Graph, x: int, y: int, t: int, deadline=None) -> PathWitness:
+def bipartite_path(g: Graph, x: int, y: int, t: int) -> PathWitness:
     """An x-y path of length t in a bipartite graph with classes A, B
     (|A| <= |B|) and min degree at least |B|/2 + 1.
 
@@ -300,7 +288,7 @@ def bipartite_path(g: Graph, x: int, y: int, t: int, deadline=None) -> PathWitne
     return PathWitness(tuple(path))
 
 
-def bipartite_even_cycle(g: Graph, t: int, deadline=None) -> tuple[int, ...]:
+def bipartite_even_cycle(g: Graph, t: int) -> tuple[int, ...]:
     """A cycle of even length t in [4, 2(2*delta - |A| - 1)]: close an odd
     x-y path of length t - 1 over an edge x~y."""
     a, b, delta, top = _bipartite_context(g)
@@ -313,5 +301,5 @@ def bipartite_even_cycle(g: Graph, t: int, deadline=None) -> tuple[int, ...]:
     if not nbrs:
         raise InternalContradictionError("isolated vertex despite degree hypothesis")
     y = lowest_bit(nbrs)
-    path = bipartite_path(g, x, y, t - 1, deadline)
+    path = bipartite_path(g, x, y, t - 1)
     return path.vertices

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, factorial
 from time import monotonic
 
 from . import _kernel
@@ -405,6 +406,8 @@ def verify_ramsey_certificate(col: TwoColoring, cert: RamseyCertificate,
 
 # -- sweep engine ---------------------------------------------------------
 
+MAX_CYCLE_MASKS = 10**6  # a sweep lists more cycle masks only with the override
+
 
 def cycle_edge_masks(p: int, n: int) -> list[int]:
     """Edge-index masks of every cycle on n vertices inside K_p, for the
@@ -497,7 +500,7 @@ def _exhaustive_shard(args) -> tuple[int, list[int]]:
     p, n, start, stop = args
     masks = cycle_edge_masks(p, n)
     m = p * (p - 1) // 2
-    return _kernel.sweep_filter_range(masks, m, start, stop, True)
+    return _kernel.sweep_filter_range(masks, m, start, stop)
 
 
 def _mono_free(masks, m: int, red: int) -> bool:
@@ -556,6 +559,10 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
     m = p * (p - 1) // 2
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown sweep mode {mode!r}")
+    mask_count = comb(p, n) * factorial(n - 1) // 2  # len(cycle_edge_masks(p, n))
+    if mask_count > MAX_CYCLE_MASKS and not space_override:
+        raise SweepSpaceError(
+            f"K_{p} has {mask_count} cycles C_{n} to list; pass the override to proceed")
     started = monotonic()
 
     if mode == "exhaustive":

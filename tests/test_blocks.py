@@ -9,7 +9,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cyclestab import _pure
+from cyclestab import _kernel
 from cyclestab.cli import main
 from cyclestab.coloring import coloring_from_edges, serialize_coloring
 from cyclestab.cycles import (
@@ -86,7 +86,7 @@ def test_cycle_bounds_examples():
 
 
 def _raw_of_length(g, t):
-    path = _pure.find_cycle_of_length(g.adj, g.n, t)
+    path = _kernel.find_cycle_of_length(g.adj, g.n, t)
     return None if path is None else _canonical_cycle(path)
 
 
@@ -94,7 +94,7 @@ def _assert_matches_raw(g, lengths=None):
     """Every searched length equals the raw kernel; ``lengths`` (when given)
     are the lengths present, and the raw kernel is asked only about them."""
     if lengths is None:
-        c, path = _pure.find_longest_cycle(g.adj, g.n)
+        c, path = _kernel.find_longest_cycle(g.adj, g.n)
         assert longest_cycle(g) == (c, None if path is None else _canonical_cycle(path))
         lengths = [t for t in range(3, g.n + 1) if _raw_of_length(g, t) is not None]
     else:
@@ -127,9 +127,9 @@ def test_layer_matches_raw_kernel_64(g, lengths):
 
 def test_longest_cycle_cap():
     for g in _small_graphs(seed=9, count=300):
-        c, witness = _pure.find_longest_cycle(g.adj, g.n)
+        c, witness = _kernel.find_longest_cycle(g.adj, g.n)
         for cap in range(g.n + 2):
-            length, path = _pure.find_longest_cycle(g.adj, g.n, cap=cap)
+            length, path = _kernel.find_longest_cycle(g.adj, g.n, cap=cap)
             assert min(length, cap) == min(c, cap)
             if c <= cap:
                 assert (length, path) == (c, witness)

@@ -1,6 +1,7 @@
 """Command-line contract: report shapes, determinism, exit codes."""
 
 import json
+from time import monotonic
 
 import pytest
 
@@ -182,6 +183,16 @@ def test_ramsey_sweep_cli(files, capsys):
 def test_ramsey_sweep_space_guard(files, capsys):
     code, out = _run(capsys, ["ramsey-sweep", "--n", "7", "--beta", "3/7",
                               "--serial"])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "SweepSpaceError"
+
+
+def test_ramsey_sweep_cycle_mask_guard(capsys):
+    # C12 in K18 has about 3.7e11 cycles: refused before any is listed
+    started = monotonic()
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "12", "--beta", "1/2",
+                              "--mode", "sampled", "--samples", "1"])
+    assert monotonic() - started < 1.0
     assert code == 2
     assert json.loads(out)["error_kind"] == "SweepSpaceError"
 

@@ -1,10 +1,12 @@
 """Graph core: construction, invariants, connectivity, predicates."""
 
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
+from cyclestab.coloring import TwoColoring, coloring_from_red_mask
 from cyclestab.errors import ParameterError
 from cyclestab.graph import (
     bipartition,
@@ -96,6 +98,20 @@ def test_induced_labels_chain():
     assert sub.labels == (2, 4, 7)
     subsub = induced(sub, mask_of([0, 2]))
     assert subsub.labels == (2, 7)
+
+
+def test_pickle_round_trip():
+    sub = induced(petersen(), mask_of([0, 1, 2, 5, 7]))
+    sub.memo("k", lambda: 1)
+    back = pickle.loads(pickle.dumps(sub))
+    assert back == sub and back.labels == (0, 1, 2, 5, 7)
+    assert back.memo("k", lambda: 2) == 2  # the memo is not carried
+    full = coloring_from_red_mask(6, 0b101100110101101)
+    keep = mask_of([1, 3, 4, 5])
+    col = TwoColoring(*(induced(h, keep) for h in (full.host, full.red, full.blue)))
+    col_back = pickle.loads(pickle.dumps(col))
+    assert col_back == col
+    assert all(h.labels == (1, 3, 4, 5) for h in (col_back.host, col_back.red, col_back.blue))
 
 
 def test_induced_rejects_out_of_range():

@@ -309,7 +309,7 @@ def test_monofree_set_matches_structural_enumeration():
     masks = cycle_edge_masks(8, 5)
     assert len(family) == 1190
     window = 1 << 20
-    _, monofree = _kernel.sweep_filter_range(masks, 28, 0, window, True)
+    _, monofree = _kernel.sweep_filter_range(masks, 28, 0, window)
     expected = sorted(m for m in family if m & 1 and (m >> 1) < window)
     assert sorted(monofree) == expected
 
@@ -321,7 +321,7 @@ def test_sweep_k8_slice_certificates():
     from cyclestab import _kernel
 
     lo, hi = 0, 1 << 16
-    mono, monofree = _kernel.sweep_filter_range(masks, 28, lo, hi, True)
+    mono, monofree = _kernel.sweep_filter_range(masks, 28, lo, hi)
     assert mono + len(monofree) == hi - lo
     for red in monofree[:5]:
         col = coloring_from_red_mask(8, red)
