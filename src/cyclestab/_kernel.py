@@ -9,11 +9,13 @@ bitset reachability bound on the achievable cycle length, and a
 best-so-far (resp. target-length) cutoff.  ``_reach_from`` and
 ``_check_deadline`` are the package's one reachability loop and one
 deadline check; the spanning-path search and ``graph.components`` use
-them too.
+them too.  ``sweep_filter`` is the one coloring filter of exhaustive and
+sampled sweeps.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from time import monotonic
 
 from .errors import SearchTimeout
@@ -151,37 +153,50 @@ def find_cycle_of_length(adj, n: int, t: int, deadline=None):
     return None
 
 
-def sweep_filter_range(cycle_masks, m: int, start: int, stop: int):
-    """Filter a counter range of edge 2-colorings of a fixed host.
+def sweep_filter(cycle_masks, m: int, reds, deadline=None):
+    """Split edge 2-colorings of a fixed host, given as red edge masks, by
+    whether one color holds a cycle.
 
-    Counter ``c`` maps to the red edge mask ``(c << 1) | 1``: the first edge
-    is pinned red (symmetry halving).  A coloring is monochromatic when one
-    of ``cycle_masks`` (cycle edge sets) is a subset of either color.  Returns (mono count, red masks with no
-    monochromatic cycle, in counter order).  The denser color is scanned
-    first; the verdict does not depend on scan order.
+    A coloring is monochromatic when one of ``cycle_masks`` (cycle edge
+    sets) is a subset of either color.  Returns (mono count, red masks with
+    no monochromatic cycle, in input order).  The denser color is scanned
+    first; the verdict does not depend on scan order.  The clock is read
+    before every block of ``_DEADLINE_STRIDE`` colorings, the first
+    included, so the per-coloring loop carries no deadline check.
     """
     full = (1 << m) - 1
     mono = 0
     monofree = []
-    for c in range(start, stop):
-        red = (c << 1) | 1
-        blue = red ^ full
-        if 2 * red.bit_count() >= m:
-            first, second = red, blue
-        else:
-            first, second = blue, red
-        found = False
-        for mask in cycle_masks:
-            if not (mask & ~first):
-                found = True
-                break
-        if not found:
+    reds = iter(reds)
+    while True:
+        done = mono + len(monofree)
+        _check_deadline(done + 1, deadline, "sweep")
+        for red in islice(reds, _DEADLINE_STRIDE):
+            blue = red ^ full
+            if 2 * red.bit_count() >= m:
+                first, second = red, blue
+            else:
+                first, second = blue, red
+            found = False
             for mask in cycle_masks:
-                if not (mask & ~second):
+                if not (mask & ~first):
                     found = True
                     break
-        if found:
-            mono += 1
-        else:
-            monofree.append(red)
-    return mono, monofree
+            if not found:
+                for mask in cycle_masks:
+                    if not (mask & ~second):
+                        found = True
+                        break
+            if found:
+                mono += 1
+            else:
+                monofree.append(red)
+        if mono + len(monofree) - done < _DEADLINE_STRIDE:
+            return mono, monofree
+
+
+def sweep_filter_range(cycle_masks, m: int, start: int, stop: int, deadline=None):
+    """``sweep_filter`` over a counter range.  Counter ``c`` maps to the red
+    edge mask ``(c << 1) | 1``: the first edge is pinned red (symmetry
+    halving)."""
+    return sweep_filter(cycle_masks, m, range(2 * start + 1, 2 * stop, 2), deadline)

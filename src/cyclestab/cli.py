@@ -348,7 +348,7 @@ def _run_ramsey_sweep(args):
     result["counts_sum_to_total"] = report.counts_sum_ok()
     code = EXIT_FAIL if report.failures else EXIT_OK
     skeleton = _report_skeleton(args, "sha256:-", parameters, result)
-    sys.stderr.write(f"shard_layout: {report.meta_payload()['shard_ranges']}\n")
+    sys.stderr.write(f"shard_layout: {[list(r) for r in report.shard_ranges]}\n")
     return skeleton, code
 
 

@@ -3,17 +3,21 @@ extraction from a Hamiltonian host, the two-clique/biclique certificate
 pipeline for colorings without a monochromatic C_n, verdicts on which
 color is pancyclic up to n, and the exhaustive/sampled sweep engine.
 
-Sweeps enumerate colorings as binary counters over lexicographically
-sorted edges, with a symmetry halving that pins the first edge red and
-doubles every count.  Workers own contiguous counter ranges and share
-nothing; aggregation merges in shard order, so reports do not depend on
-the shard count.
+Both sweep modes run one engine.  A coloring is its red edge mask over
+lexicographically sorted edges.  An exhaustive sweep enumerates binary
+counters with a symmetry halving that pins the first edge red and doubles
+every count; a sampled sweep draws sample i from (seed, i) alone.  The
+cycle edge masks are listed once per sweep, each shard owns a contiguous
+counter or sample range and runs it through ``_kernel.sweep_filter``, and
+the results merge in shard order, so reports do not depend on the shard
+count.  Every coloring the filter passes goes through the certificate
+pipeline and its verifier.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -431,8 +435,8 @@ def cycle_edge_masks(p: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Aggregated sweep outcome; the deterministic payload excludes timing
-    and shard layout, which live in the meta payload."""
+    """Aggregated sweep outcome; the deterministic payload excludes the
+    shard layout, which the CLI reports on stderr."""
 
     n: int
     beta: Fraction
@@ -445,10 +449,7 @@ class SweepReport:
     certificate_found: int
     failures: int
     failure_exemplars: tuple[dict, ...]
-    shards: int
     shard_ranges: tuple[tuple[int, int], ...]
-    wall_seconds: float
-    backend: str = field(default=_kernel.backend_name)
 
     def counts_sum_ok(self) -> bool:
         return self.mono_found + self.certificate_found + self.failures == self.total
@@ -474,14 +475,6 @@ class SweepReport:
             payload["parameters"]["samples"] = self.samples
         return payload
 
-    def meta_payload(self) -> dict:
-        return {
-            "shards": self.shards,
-            "shard_ranges": [list(r) for r in self.shard_ranges],
-            "wall_seconds": round(self.wall_seconds, 3),
-            "backend": self.backend,
-        }
-
 
 def _shard_ranges(space: int, shards: int) -> list[tuple[int, int]]:
     if shards < 1:
@@ -496,39 +489,20 @@ def _shard_ranges(space: int, shards: int) -> list[tuple[int, int]]:
     return out
 
 
-def _exhaustive_shard(args) -> tuple[int, list[int]]:
-    p, n, start, stop = args
-    masks = cycle_edge_masks(p, n)
-    m = p * (p - 1) // 2
-    return _kernel.sweep_filter_range(masks, m, start, stop)
+def _sample_red(seed: int, idx: int, m: int) -> int:
+    """The red edge mask of sample ``idx``: a function of (seed, idx) alone,
+    so samples do not depend on the shard layout."""
+    return random.Random(f"{seed}:{idx}").getrandbits(m)
 
 
-def _mono_free(masks, m: int, red: int) -> bool:
-    full = (1 << m) - 1
-    blue = red ^ full
-    first, second = (red, blue) if 2 * red.bit_count() >= m else (blue, red)
-    for mask in masks:
-        if not (mask & ~first):
-            return False
-    for mask in masks:
-        if not (mask & ~second):
-            return False
-    return True
-
-
-def _sampled_shard(args) -> tuple[int, list[tuple[int, int]]]:
-    p, n, seed, start, stop = args
-    masks = cycle_edge_masks(p, n)
-    m = p * (p - 1) // 2
-    mono = 0
-    monofree = []
-    for idx in range(start, stop):
-        red = random.Random(f"{seed}:{idx}").getrandbits(m)
-        if _mono_free(masks, m, red):
-            monofree.append((idx, red))
-        else:
-            mono += 1
-    return mono, monofree
+def _sweep_shard(args) -> tuple[int, list[int]]:
+    """(mono count, mono-free red masks in order) of one shard: a counter
+    range of an exhaustive sweep, or a sample-index range of a sampled one."""
+    mode, masks, m, lo, hi, seed, deadline = args
+    if mode == "exhaustive":
+        return _kernel.sweep_filter_range(masks, m, lo, hi, deadline)
+    reds = (_sample_red(seed, idx, m) for idx in range(lo, hi))
+    return _kernel.sweep_filter(masks, m, reds, deadline)
 
 
 def _run_shards(worker, arg_list, parallel: bool):
@@ -552,6 +526,7 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
     verifier on every coloring without one, and record any failure as an
     exemplar.  Exhaustive mode halves the space by pinning edge (0,1) red
     and doubling counts; reports are identical for every shard count.
+    ``deadline`` bounds the filter and the certificate pass alike.
     """
     beta = Fraction(beta)
     _validate_ramsey_params(n, beta)
@@ -559,48 +534,39 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
     m = p * (p - 1) // 2
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown sweep mode {mode!r}")
+    if checkpoint is not None and mode != "exhaustive":
+        raise ParameterError("a checkpoint file covers exhaustive sweeps only")
     mask_count = comb(p, n) * factorial(n - 1) // 2  # len(cycle_edge_masks(p, n))
     if mask_count > MAX_CYCLE_MASKS and not space_override:
         raise SweepSpaceError(
             f"K_{p} has {mask_count} cycles C_{n} to list; pass the override to proceed")
-    started = monotonic()
 
     if mode == "exhaustive":
         if m > 30 and not space_override:
             raise SweepSpaceError(
                 f"{m} edges give 2^{m} colorings; pass the override to proceed")
-        space = 1 << (m - 1)
-        ranges = _shard_ranges(space, shards)
-        args = [(p, n, lo, hi) for lo, hi in ranges]
-        if checkpoint is not None:
-            results = _checkpointed_shards(checkpoint, n, beta, p, args)
-        else:
-            results = _run_shards(_exhaustive_shard, args, parallel)
-        mono = 0
-        monofree: list[tuple[int, int]] = []  # (sort key, red mask)
-        for (lo, _hi), (mono_part, masks) in zip(ranges, results):
-            mono += mono_part
-            monofree.extend((lo, red) for red in masks)
+        ranges = _shard_ranges(1 << (m - 1), shards)
         scale = 2
         total = 1 << m
     else:
         if samples <= 0:
             raise ParameterError("sampled mode needs a positive sample count")
         ranges = _shard_ranges(samples, shards)
-        args = [(p, n, seed, lo, hi) for lo, hi in ranges]
-        results = _run_shards(_sampled_shard, args, parallel)
-        mono = 0
-        monofree = []
-        for mono_part, pairs in results:
-            mono += mono_part
-            monofree.extend(pairs)
         scale = 1
         total = samples
+    masks = cycle_edge_masks(p, n)
+    if checkpoint is not None:
+        results = _checkpointed_shards(checkpoint, n, beta, p, masks, ranges, deadline)
+    else:
+        args = [(mode, masks, m, lo, hi, seed, deadline) for lo, hi in ranges]
+        results = _run_shards(_sweep_shard, args, parallel)
 
+    mono = sum(part for part, _ in results)
+    monofree = [red for _, reds in results for red in reds]
     cert_found = 0
     failures = 0
     exemplars: list[dict] = []
-    for key, red in monofree:
+    for red in monofree:
         if deadline is not None and monotonic() > deadline:
             raise SearchTimeout("sweep exceeded its deadline")
         col = coloring_from_red_mask(p, red)
@@ -630,55 +596,74 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
         n=n, beta=beta, p=p, mode=mode, seed=seed, samples=samples,
         total=total, mono_found=mono * scale, certificate_found=cert_found,
         failures=failures, failure_exemplars=tuple(exemplars),
-        shards=shards, shard_ranges=tuple(ranges),
-        wall_seconds=monotonic() - started)
+        shard_ranges=tuple(ranges))
 
 
-def _checkpointed_shards(path, n: int, beta: Fraction, p: int, args):
-    """Serial shard execution with a plain-text progress file: one line per
-    shard holding the last completed counter and the partial results."""
+def _checkpoint_entry(line: str, ranges) -> tuple[int, tuple[int, int, list[int]]]:
+    """(shard index, (last counter, mono count, mono-free red masks)) of one
+    progress line, checked against the shard it names: the counts must add
+    up to the counters done, and every mask must be a counter of them."""
+    parts = line.split()
+    try:
+        if len(parts) not in (3, 4):
+            raise ValueError(f"{len(parts)} fields")
+        idx, last, mono = (int(x) for x in parts[:3])
+        reds = [int(x, 16) for x in parts[3].split(",")] if len(parts) == 4 else []
+    except ValueError as exc:
+        raise ParameterError(f"checkpoint line {line!r} does not parse: {exc}") from exc
+    if not 0 <= idx < len(ranges):
+        raise ParameterError(f"checkpoint line {line!r} names no shard")
+    lo, hi = ranges[idx]
+    if not lo - 1 <= last <= hi - 1 or mono < 0 or mono + len(reds) != last - lo + 1 \
+            or any(not red & 1 or not lo <= red >> 1 <= last for red in reds):
+        raise ParameterError(
+            f"checkpoint line {line!r} does not fit shard {idx} (counters {lo}..{hi - 1})")
+    return idx, (last, mono, reds)
+
+
+def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, deadline):
+    """Serial exhaustive shards with a plain-text progress file: one line per
+    shard holding the last completed counter and the partial results.  The
+    file is replaced whole after every batch, so a crash leaves the last
+    complete state."""
     import os
 
-    header = f"cyclestab-sweep v1 n={n} beta={frac_str(beta)} p={p} shards={len(args)}"
+    m = p * (p - 1) // 2
+    header = f"cyclestab-sweep v1 n={n} beta={frac_str(beta)} p={p} shards={len(ranges)}"
     state: dict[int, tuple[int, int, list[int]]] = {}
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"cannot read checkpoint {path}: {exc}") from exc
         if lines and lines[0] == header:
-            for line in lines[1:]:
-                parts = line.split()
-                if len(parts) < 3:
-                    continue
-                idx, last, mono_part = int(parts[0]), int(parts[1]), int(parts[2])
-                masks = [int(x, 16) for x in parts[3].split(",") if x] \
-                    if len(parts) > 3 else []
-                state[idx] = (last, mono_part, masks)
+            state = dict(_checkpoint_entry(line, ranges) for line in lines[1:])
 
     def write_state() -> None:
         rows = [header]
         for idx in sorted(state):
-            last, mono_part, masks = state[idx]
-            rows.append(f"{idx} {last} {mono_part} " +
-                        ",".join(format(x, "x") for x in masks))
-        with open(path, "w", encoding="utf-8") as fh:
+            last, mono, reds = state[idx]
+            rows.append(f"{idx} {last} {mono} " + ",".join(format(x, "x") for x in reds))
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
+        os.replace(tmp, path)
 
     batch = 1 << 18
     results = []
-    for idx, (pp, nn, lo, hi) in enumerate(args):
-        last, mono_part, masks = state.get(idx, (lo - 1, 0, []))
+    for idx, (lo, hi) in enumerate(ranges):
+        last, mono, reds = state.get(idx, (lo - 1, 0, []))
         cursor = last + 1
         while cursor < hi:
             stop = min(cursor + batch, hi)
-            mono_b, masks_b = _exhaustive_shard((pp, nn, cursor, stop))
-            mono_part += mono_b
-            masks.extend(masks_b)
+            mono_b, reds_b = _kernel.sweep_filter_range(masks, m, cursor, stop, deadline)
+            mono += mono_b
+            reds.extend(reds_b)
             cursor = stop
-            state[idx] = (cursor - 1, mono_part, masks)
+            state[idx] = (cursor - 1, mono, reds)
             write_state()
-        state[idx] = (hi - 1, mono_part, masks)
-        write_state()
-        results.append((mono_part, masks))
+        results.append((mono, reds))
     return results
 
 
@@ -766,8 +751,6 @@ class VerdictSweepReport:
     seed: int
     counts: dict
     neither_exemplars: tuple[dict, ...]
-    shards: int
-    wall_seconds: float
 
     def to_payload(self) -> dict:
         return {
@@ -777,9 +760,6 @@ class VerdictSweepReport:
             "neither_exemplars": [dict(x) for x in self.neither_exemplars],
         }
 
-    def meta_payload(self) -> dict:
-        return {"shards": self.shards, "wall_seconds": round(self.wall_seconds, 3)}
-
 
 def _verdict_shard(args) -> tuple[dict, list[tuple[int, int]]]:
     order, seed, start, stop = args
@@ -787,7 +767,7 @@ def _verdict_shard(args) -> tuple[dict, list[tuple[int, int]]]:
     counts = {"red": 0, "blue": 0, "both": 0, "neither": 0}
     neither = []
     for idx in range(start, stop):
-        red = random.Random(f"{seed}:{idx}").getrandbits(m)
+        red = _sample_red(seed, idx, m)
         col = coloring_from_red_mask(order, red)
         verdict = pancyclic_color_verdict(col).verdict
         counts[verdict] += 1
@@ -804,7 +784,6 @@ def verdict_sample_sweep(order: int, samples: int, seed: int = 0, shards: int = 
         raise ParameterError("host order must be an odd number >= 5")
     if samples <= 0:
         raise ParameterError("sample count must be positive")
-    started = monotonic()
     ranges = _shard_ranges(samples, shards)
     args = [(order, seed, lo, hi) for lo, hi in ranges]
     results = _run_shards(_verdict_shard, args, parallel)
@@ -820,5 +799,4 @@ def verdict_sample_sweep(order: int, samples: int, seed: int = 0, shards: int = 
                 "coloring": serialize_coloring(coloring_from_red_mask(order, red)),
             })
     return VerdictSweepReport(order, (order + 1) // 2, samples, seed, counts,
-                              tuple(neither), shards,
-                              monotonic() - started)
+                              tuple(neither))

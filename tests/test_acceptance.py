@@ -76,6 +76,22 @@ def corpus(atlas_connected):
     return graphs
 
 
+@pytest.fixture(scope="module")
+def k8_sweep():
+    """The order-8 exhaustive sweep on 8 shards and its wall time; criteria
+    5 and 9 both read it."""
+    started = time.monotonic()
+    report = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=8)
+    return report, time.monotonic() - started
+
+
+@pytest.fixture(scope="module")
+def verdict_sweep():
+    """The sampled order-9 verdict sweep on 2 shards; criteria 8 and 9 both
+    read it."""
+    return verdict_sample_sweep(9, ARRTH_SAMPLES, seed=ARRTH_SEED, shards=2)
+
+
 def test_criterion_1_oracle_equivalence(corpus):
     started = time.monotonic()
     atlas_count = sum(1 for g in corpus if g.n <= 7)
@@ -190,10 +206,8 @@ def test_criterion_4_k6_sweep():
           f"failures=0, {elapsed:.2f}s")
 
 
-def test_criterion_5_k8_sweep():
-    started = time.monotonic()
-    report = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=8)
-    elapsed = time.monotonic() - started
+def test_criterion_5_k8_sweep(k8_sweep):
+    report, elapsed = k8_sweep
     counts = report.to_payload()["counts"]
     assert counts == K8_SWEEP_GOLDEN
     assert report.failures == 0
@@ -300,7 +314,7 @@ def _independent_color_missing(g) -> set[int]:
     return missing
 
 
-def test_criterion_8_verdict_sampling():
+def test_criterion_8_verdict_sampling(verdict_sweep):
     started = time.monotonic()
     m = 36  # edges of the order-9 complete host
     mismatches = 0
@@ -318,7 +332,7 @@ def test_criterion_8_verdict_sampling():
             neither += 1
     elapsed = time.monotonic() - started
     assert mismatches == 0
-    report = verdict_sample_sweep(9, ARRTH_SAMPLES, seed=ARRTH_SEED, shards=2)
+    report = verdict_sweep
     assert report.counts["neither"] == neither
     assert len(report.neither_exemplars) == neither
     assert sum(report.counts.values()) == ARRTH_SAMPLES
@@ -327,14 +341,14 @@ def test_criterion_8_verdict_sampling():
           f"{elapsed:.1f}s")
 
 
-def test_criterion_9_shard_determinism():
+def test_criterion_9_shard_determinism(k8_sweep, verdict_sweep):
     a = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=1, parallel=False)
     b = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=3, parallel=False)
     assert canonical_json(a.to_payload()) == canonical_json(b.to_payload())
-    c = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=8)
+    c = k8_sweep[0]
     d = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=3)
     assert canonical_json(c.to_payload()) == canonical_json(d.to_payload())
-    e = verdict_sample_sweep(9, ARRTH_SAMPLES, seed=ARRTH_SEED, shards=2)
+    e = verdict_sweep
     f = verdict_sample_sweep(9, ARRTH_SAMPLES, seed=ARRTH_SEED, shards=5)
     assert canonical_json(e.to_payload()) == canonical_json(f.to_payload())
     print("\nACCEPTANCE 9: PASS - byte-identical reports across shard counts "

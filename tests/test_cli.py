@@ -197,6 +197,70 @@ def test_ramsey_sweep_cycle_mask_guard(capsys):
     assert json.loads(out)["error_kind"] == "SweepSpaceError"
 
 
+@pytest.mark.parametrize("extra", [["--serial"], ["--shards", "2"]],
+                         ids=["in-process", "forked-pool"])
+def test_ramsey_sweep_timeout(capsys, extra):
+    # 2^20 colorings of K7 take over a second; an expired deadline stops
+    # the filter on its first block
+    started = monotonic()
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/4",
+                              "--timeout", "0"] + extra)
+    assert monotonic() - started < 1.0
+    assert code == 3
+    report = json.loads(out)
+    assert report["timeout"] is True
+    assert report["message"] == "sweep exceeded its deadline"
+
+
+def _checkpoint(tmp_path, capsys):
+    """A complete progress file of the 2-shard K6/C4 sweep."""
+    path = tmp_path / "progress.txt"
+    code, _ = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/2",
+                            "--shards", "2", "--checkpoint", str(path)])
+    assert code == 0
+    return path
+
+
+def test_ramsey_sweep_checkpoint_needs_exhaustive(capsys, tmp_path):
+    path = tmp_path / "progress.txt"
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "5", "--beta", "2/5",
+                              "--mode", "sampled", "--samples", "10",
+                              "--checkpoint", str(path)])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "ParameterError"
+    assert not path.exists()
+
+
+def test_ramsey_sweep_checkpoint_line_does_not_parse(capsys, tmp_path):
+    path = _checkpoint(tmp_path, capsys)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\nx y z\n")
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/2",
+                              "--shards", "2", "--checkpoint", str(path)])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "ParameterError"
+
+
+# the 2-shard K6/C4 sweep: 15 edges, shards of counters 0..8191 and
+# 8192..16383, every coloring monochromatic
+@pytest.mark.parametrize("line", [
+    "2 8191 0",  # index outside the shard list
+    "0 99999999 5",  # last counter outside the shard
+    "1 8190 0",  # last counter below the shard's first counter - 1
+    "0 99 5",  # counts do not add up to the counters done
+    "0 1 1 2",  # an even mask: its first edge is not red
+    "0 1 1 10001",  # a mask of more than 15 edges
+], ids=["index", "last-above", "last-below", "counts", "even-mask", "wide-mask"])
+def test_ramsey_sweep_checkpoint_line_inconsistent(capsys, tmp_path, line):
+    path = _checkpoint(tmp_path, capsys)
+    header = path.read_text().splitlines()[0]
+    path.write_text(f"{header}\n{line}\n")
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/2",
+                              "--shards", "2", "--checkpoint", str(path)])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "ParameterError"
+
+
 def test_arrth_single(files, capsys):
     code, out = _run(capsys, ["arrth", "--coloring", str(files["allred"])])
     assert code == 0

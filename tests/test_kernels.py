@@ -10,7 +10,7 @@ from cyclestab import _kernel
 from cyclestab.errors import SearchTimeout
 from cyclestab.graph import build_graph
 from cyclestab.paths import _exact_spanning_path
-from cyclestab.ramsey import _mono_free, cycle_edge_masks
+from cyclestab.ramsey import cycle_edge_masks
 
 from conftest import cycle_graph
 
@@ -60,19 +60,58 @@ def test_sweep_filter_k6_c4():
     assert _kernel.sweep_filter_range(masks, 15, 0, 1 << 14) == (1 << 14, [])
 
 
-def test_sweep_filter_matches_mono_free_k8_c5():
-    # a counter slice of K8/C5 around the red mask of two red K4s joined
-    # by a blue K_{4,4}, which has no monochromatic C5
-    masks = cycle_edge_masks(8, 5)
+def _has_mono_cycle(masks, m: int, red: int) -> bool:
+    """Some cycle edge set lies inside the red or inside the blue edges."""
+    blue = red ^ ((1 << m) - 1)
+    return any(mask & red == mask or mask & blue == mask for mask in masks)
+
+
+def _two_red_k4s() -> int:
+    """The red mask of two red K4s joined by a blue K_{4,4}, a coloring of
+    K8 with no monochromatic C5."""
     index = {e: i for i, e in enumerate(combinations(range(8), 2))}
     red = 0
     for side in ((0, 1, 2, 3), (4, 5, 6, 7)):
         for e in combinations(side, 2):
             red |= 1 << index[e]
+    return red
+
+
+def test_sweep_filter_matches_plain_predicate_k8_c5():
+    # a counter slice of K8/C5 around a coloring with no monochromatic C5
+    masks = cycle_edge_masks(8, 5)
+    red = _two_red_k4s()
     lo = (red >> 1) - 3000
     hi = lo + 6000
     mono, monofree = _kernel.sweep_filter_range(masks, 28, lo, hi)
-    expected = [r for r in ((c << 1) | 1 for c in range(lo, hi)) if _mono_free(masks, 28, r)]
+    expected = [r for r in ((c << 1) | 1 for c in range(lo, hi))
+                if not _has_mono_cycle(masks, 28, r)]
     assert red in expected
     assert monofree == expected
     assert mono == hi - lo - len(expected)
+
+
+def test_sweep_filter_keeps_input_order():
+    # any iterable of red masks, with the first edge blue too: mono-free
+    # masks come back in input order, across deadline blocks
+    masks = cycle_edge_masks(8, 5)
+    red = _two_red_k4s()
+    blue = red ^ ((1 << 28) - 1)
+    assert red > blue
+    reds = list(range(1 << 20, (1 << 20) + 5000))
+    reds[4500:4500] = [blue]
+    reds[100:100] = [red]
+    mono, monofree = _kernel.sweep_filter(masks, 28, iter(reds))
+    assert monofree == [red, blue]
+    assert monofree == [r for r in reds if not _has_mono_cycle(masks, 28, r)]
+    assert mono == len(reds) - 2
+    assert _kernel.sweep_filter(masks, 28, iter(())) == (0, [])
+
+
+def test_deadline_stops_sweep_filter_on_first_block():
+    # the clock is read before the first block too, so a range shorter than
+    # one block stops
+    masks = cycle_edge_masks(6, 4)
+    with pytest.raises(SearchTimeout, match="sweep exceeded its deadline"):
+        _kernel.sweep_filter_range(masks, 15, 0, 10, monotonic() - 1.0)
+    assert _kernel.sweep_filter_range(masks, 15, 0, 10, monotonic() + 60.0) == (10, [])

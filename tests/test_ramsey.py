@@ -2,6 +2,7 @@
 sweeps, and color verdicts."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -265,6 +266,24 @@ def test_sweep_sampled_deterministic():
     assert a.total == 400 and a.counts_sum_ok()
 
 
+@pytest.mark.parametrize("shards, parallel", [(1, False), (2, True)])
+def test_sweep_sampled_classification(shards, parallel):
+    # the sampled filter against a plain per-coloring check of the same
+    # (seed, idx) draws; nearly every random coloring of K8 has a
+    # monochromatic C5, so test_kernels checks the mono-free side
+    masks = cycle_edge_masks(8, 5)
+    seed, samples = 31, 300
+    full = (1 << 28) - 1
+    mono = 0
+    for idx in range(samples):
+        red = random.Random(f"{seed}:{idx}").getrandbits(28)
+        mono += any(c & red == c or c & (red ^ full) == c for c in masks)
+    report = ramsey_sweep(5, Fraction(2, 5), "sampled", samples=samples, seed=seed,
+                          shards=shards, parallel=parallel)
+    assert report.mono_found == mono
+    assert report.counts_sum_ok()
+
+
 def test_sweep_checkpoint_resume(tmp_path):
     path = tmp_path / "progress.txt"
     first = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
@@ -277,6 +296,46 @@ def test_sweep_checkpoint_resume(tmp_path):
     second = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
                           checkpoint=str(path), parallel=False)
     assert first.to_payload() == second.to_payload()
+
+
+def test_sweep_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
+    # a write that dies halfway must leave the previous progress file whole
+    from cyclestab import ramsey
+
+    path = tmp_path / "progress.txt"
+    first = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
+                         checkpoint=str(path), parallel=False)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2]) + "\n")
+    saved = path.read_text()
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("device gone")
+
+    def dying_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return HalfWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(ramsey, "open", dying_open, raising=False)
+    with pytest.raises(OSError, match="device gone"):
+        ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
+                     checkpoint=str(path), parallel=False)
+    assert path.read_text() == saved
+    monkeypatch.undo()
+    again = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
+                         checkpoint=str(path), parallel=False)
+    assert again.to_payload() == first.to_payload()
 
 
 def test_monofree_set_matches_structural_enumeration():

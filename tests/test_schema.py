@@ -1,0 +1,116 @@
+"""Every report kind the CLI prints conforms to schema/report.schema.json."""
+
+import json
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+from jsonschema import Draft202012Validator
+
+from cyclestab.cli import main
+from cyclestab.coloring import coloring_from_edges, serialize_coloring
+from cyclestab.formats import to_edge_list, to_graph6
+
+from conftest import complete_bipartite, petersen, two_disjoint_cliques
+
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "schema" / "report.schema.json").read_text())
+Draft202012Validator.check_schema(SCHEMA)
+
+# the result shape each command's report names in $defs, where there is one
+RESULT_DEFS = {
+    "decompose-thdc": "stability_certificate",
+    "decompose-cycth": "stability_certificate",
+    "decompose-th3par": "stability_certificate",
+    "ramsey-cert": "ramsey_certificate",
+    "ramsey-sweep": "sweep_result",
+    "verify": "check_report",
+}
+
+
+def _validator(ref=None):
+    if ref is None:
+        return Draft202012Validator(SCHEMA)
+    return Draft202012Validator({"$defs": SCHEMA["$defs"], "$ref": f"#/$defs/{ref}"})
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("schema")
+    paths = {"tmp": tmp}
+    paths["petersen"] = tmp / "petersen.g6"
+    paths["petersen"].write_text(to_graph6(petersen()) + "\n")
+    paths["two13"] = tmp / "two13.edges"
+    paths["two13"].write_text(to_edge_list(two_disjoint_cliques(13)))
+    paths["k44"] = tmp / "k44.edges"
+    paths["k44"].write_text(to_edge_list(complete_bipartite(4, 4)))
+    u1, u2 = [1, 2, 3], [4, 5, 6, 7]
+    red = list(combinations(u1, 2)) + list(combinations(u2, 2)) + [(0, v) for v in u1]
+    blue = [(a, b) for a in u1 for b in u2] + [(0, v) for v in u2]
+    paths["golden5"] = tmp / "golden5.col"
+    paths["golden5"].write_text(serialize_coloring(coloring_from_edges(8, red, blue)))
+    for p in (8, 9):
+        paths[f"allred{p}"] = tmp / f"allred{p}.col"
+        paths[f"allred{p}"].write_text(
+            serialize_coloring(coloring_from_edges(p, combinations(range(p), 2), [])))
+    return paths
+
+
+def _report(capsys, argv, expected_code):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code, out
+    return json.loads(out)
+
+
+def _assert_valid(report):
+    errors = [e.message for e in _validator().iter_errors(report)]
+    assert errors == []
+    ref = RESULT_DEFS.get(report["command"])
+    if ref is not None and "result" in report:
+        errors = [e.message for e in _validator(ref).iter_errors(report["result"])]
+        assert errors == [], ref
+
+
+RUNS = {
+    "spectrum": (["spectrum", "--graph", "{petersen}"], 0),
+    "bounds": (["bounds", "--graph", "{petersen}"], 0),
+    "paths": (["paths", "--graph", "{petersen}", "--op", "ham", "--x", "0", "--y", "2"], 0),
+    "decompose-thdc": (["decompose-thdc", "--graph", "{two13}",
+                        "--alpha", "2/100", "--beta", "5/100"], 0),
+    "decompose-cycth": (["decompose-cycth", "--graph", "{two13}", "--gamma", "1/25"], 0),
+    "decompose-th3par": (["decompose-th3par", "--graph", "{two13}",
+                          "--alpha", "4/100", "--beta", "5/100"], 0),
+    "le4": (["le4", "--graph", "{k44}"], 0),
+    "ramsey-cert": (["ramsey-cert", "--coloring", "{golden5}", "--n", "5", "--beta", "2/5"], 0),
+    "ramsey-sweep-exhaustive": (["ramsey-sweep", "--n", "4", "--beta", "1/2", "--serial"], 0),
+    "ramsey-sweep-sampled": (["ramsey-sweep", "--n", "5", "--beta", "2/5", "--mode", "sampled",
+                              "--samples", "50", "--seed", "3", "--serial"], 0),
+    "arrth-single": (["arrth", "--coloring", "{allred9}"], 0),
+    "arrth-sampled": (["arrth", "--n", "4", "--samples", "20", "--seed", "5", "--serial"], 0),
+    "checkpoint-refusal": (["ramsey-sweep", "--n", "5", "--beta", "2/5", "--mode", "sampled",
+                            "--samples", "10", "--checkpoint", "{tmp}/progress.txt"], 2),
+    "hypothesis-unsatisfiable": (["ramsey-cert", "--coloring", "{allred8}",
+                                  "--n", "5", "--beta", "2/5"], 2),
+    "timeout": (["ramsey-sweep", "--n", "4", "--beta", "1/4", "--timeout", "0",
+                 "--serial"], 3),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_report_conforms(inputs, capsys, name):
+    argv, code = RUNS[name]
+    argv = [a.format(**inputs) for a in argv]
+    _assert_valid(_report(capsys, argv, code))
+
+
+def test_verify_report_conforms(inputs, capsys):
+    for argv, target in (
+            (["decompose-thdc", "--graph", str(inputs["two13"]),
+              "--alpha", "2/100", "--beta", "5/100"], ["--graph", str(inputs["two13"])]),
+            (["ramsey-cert", "--coloring", str(inputs["golden5"]), "--n", "5",
+              "--beta", "2/5"], ["--coloring", str(inputs["golden5"])])):
+        report = _report(capsys, argv, 0)
+        cert = inputs["tmp"] / "cert.json"
+        cert.write_text(json.dumps(report))
+        _assert_valid(_report(capsys, ["verify", "--certificate", str(cert), *target], 0))
