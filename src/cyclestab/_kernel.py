@@ -9,8 +9,12 @@ bitset reachability bound on the achievable cycle length, and a
 best-so-far (resp. target-length) cutoff.  ``_reach_from`` and
 ``_check_deadline`` are the package's one reachability loop and one
 deadline check; the spanning-path search and ``graph.components`` use
-them too.  ``sweep_filter`` is the one coloring filter of exhaustive and
-sampled sweeps.
+them too.
+
+Sweeps split edge 2-colorings by whether one color holds a cycle of a given
+length.  ``sweep_filter`` scans sampled draws one by one, against every
+cycle mask; ``sweep_filter_range`` enumerates an exhaustive counter range
+edge by edge and prunes a branch at its first monochromatic cycle.
 """
 
 from __future__ import annotations
@@ -196,7 +200,56 @@ def sweep_filter(cycle_masks, m: int, reds, deadline=None):
 
 
 def sweep_filter_range(cycle_masks, m: int, start: int, stop: int, deadline=None):
-    """``sweep_filter`` over a counter range.  Counter ``c`` maps to the red
-    edge mask ``(c << 1) | 1``: the first edge is pinned red (symmetry
-    halving)."""
-    return sweep_filter(cycle_masks, m, range(2 * start + 1, 2 * stop, 2), deadline)
+    """``sweep_filter`` over a counter range, by a pruned enumeration.
+
+    Counter ``c`` maps to the red edge mask ``(c << 1) | 1``: the first edge
+    is pinned red (symmetry halving).  The range splits into aligned blocks
+    [a * 2^k, (a + 1) * 2^k), each of which fixes edges k+1 .. m-1 and
+    leaves edges 1 .. k free.  A cycle mask is decided once its lowest edge
+    is, so the masks are bucketed by lowest edge.  Edges are decided from
+    the top down, blue before red, and a monochromatic mask cuts the whole
+    subtree; the leaves that survive are the mono-free red masks, in counter
+    order.  The result equals ``sweep_filter`` on the same red masks.  Every
+    block and every decided edge is a node; the clock is read on the first
+    node and on every ``_DEADLINE_STRIDE``-th after it.
+    """
+    if stop <= start:
+        return 0, []
+    buckets = [[] for _ in range(m)]
+    for mask in cycle_masks:
+        buckets[(mask & -mask).bit_length() - 1].append(mask)
+    monofree = []
+    nodes = 0
+    lo = start
+    while lo < stop:
+        k = min((lo & -lo).bit_length() - 1 if lo else m - 1, m - 1)
+        while lo + (1 << k) > stop:
+            k -= 1
+        block = lo << 1  # edges 0 .. k clear, the rest fixed by the block
+        lo += 1 << k
+        nodes += 1
+        _check_deadline(nodes, deadline, "sweep")
+        if any((x & block) in (0, x) for j in range(k + 1, m) for x in buckets[j]):
+            continue
+        # (j, red): edge j was just decided, the edges above it are fixed;
+        # edge 0 is only ever red
+        stack = [(k, block | (1 << k))]
+        if k:
+            stack.append((k, block))
+        while stack:
+            j, red = stack.pop()
+            nodes += 1
+            _check_deadline(nodes, deadline, "sweep")
+            color = red if red >> j & 1 else ~red  # the edges colored like edge j
+            for x in buckets[j]:
+                if x & color == x:
+                    break
+            else:
+                if not j:
+                    monofree.append(red)
+                else:
+                    j -= 1
+                    stack.append((j, red | (1 << j)))
+                    if j:
+                        stack.append((j, red))
+    return stop - start - len(monofree), monofree

@@ -73,6 +73,15 @@ EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational option; a zero denominator is a usage error like any other
+    malformed value, not a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclestab",
@@ -109,19 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose-thdc", help="two-component stability decomposition")
     common(p, graph=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--beta", type=Fraction, default=Fraction(0))
+    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--beta", type=_fraction, default=Fraction(0))
     p.add_argument("--enforce-paper-range", action="store_true")
 
     p = sub.add_parser("decompose-cycth", help="pancyclic-or-vertex-split decomposition")
     common(p, graph=True)
-    p.add_argument("--gamma", type=Fraction, required=True)
+    p.add_argument("--gamma", type=_fraction, required=True)
     p.add_argument("--enforce-paper-range", action="store_true")
 
     p = sub.add_parser("decompose-th3par", help="three-part stability decomposition")
     common(p, graph=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--beta", type=Fraction, default=Fraction(0))
+    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--beta", type=_fraction, default=Fraction(0))
     p.add_argument("--enforce-paper-range", action="store_true")
 
     p = sub.add_parser("le4", help="biclique partition extraction")
@@ -131,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
                                            "a monochromatic C_n")
     common(p, coloring=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=Fraction, required=True)
+    p.add_argument("--beta", type=_fraction, required=True)
 
     p = sub.add_parser("ramsey-sweep", help="exhaustive or sampled coloring sweep")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=Fraction, required=True)
+    p.add_argument("--beta", type=_fraction, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--shards", type=int,
@@ -364,7 +373,8 @@ def _run_arrth(args):
         raise ParameterError("arrth needs --coloring, or --n with --samples")
     order = 2 * args.n - 1
     report = verdict_sample_sweep(order, args.samples, seed=args.seed,
-                                  shards=args.shards, parallel=not args.serial)
+                                  shards=args.shards, parallel=not args.serial,
+                                  deadline=deadline)
     parameters = report.to_payload()["parameters"]
     return _report_skeleton(args, "sha256:-", parameters,
                             report.to_payload()), EXIT_OK

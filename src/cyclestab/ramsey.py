@@ -7,11 +7,13 @@ Both sweep modes run one engine.  A coloring is its red edge mask over
 lexicographically sorted edges.  An exhaustive sweep enumerates binary
 counters with a symmetry halving that pins the first edge red and doubles
 every count; a sampled sweep draws sample i from (seed, i) alone.  The
-cycle edge masks are listed once per sweep, each shard owns a contiguous
-counter or sample range and runs it through ``_kernel.sweep_filter``, and
-the results merge in shard order, so reports do not depend on the shard
-count.  Every coloring the filter passes goes through the certificate
-pipeline and its verifier.
+cycle edge masks are listed once per sweep, and each shard owns a
+contiguous counter or sample range.  An exhaustive shard enumerates its
+counter range edge by edge and prunes at the first monochromatic cycle
+(``_kernel.sweep_filter_range``); a sampled shard scans its draws against
+every cycle mask (``_kernel.sweep_filter``).  The results merge in shard
+order, so reports do not depend on the shard count.  Every coloring the
+filter passes goes through the certificate pipeline and its verifier.
 """
 
 from __future__ import annotations
@@ -762,14 +764,16 @@ class VerdictSweepReport:
 
 
 def _verdict_shard(args) -> tuple[dict, list[tuple[int, int]]]:
-    order, seed, start, stop = args
+    order, seed, start, stop, deadline = args
     m = order * (order - 1) // 2
     counts = {"red": 0, "blue": 0, "both": 0, "neither": 0}
     neither = []
     for idx in range(start, stop):
+        if deadline is not None and monotonic() > deadline:
+            raise SearchTimeout("verdict sweep exceeded its deadline")
         red = _sample_red(seed, idx, m)
         col = coloring_from_red_mask(order, red)
-        verdict = pancyclic_color_verdict(col).verdict
+        verdict = pancyclic_color_verdict(col, deadline).verdict
         counts[verdict] += 1
         if verdict == "neither":
             neither.append((idx, red))
@@ -777,15 +781,16 @@ def _verdict_shard(args) -> tuple[dict, list[tuple[int, int]]]:
 
 
 def verdict_sample_sweep(order: int, samples: int, seed: int = 0, shards: int = 1,
-                         parallel: bool = True) -> VerdictSweepReport:
+                         parallel: bool = True, deadline=None) -> VerdictSweepReport:
     """Sampled verdict distribution; sample i is derived from (seed, i), so
-    reports are identical for every shard count."""
+    reports are identical for every shard count.  ``deadline`` bounds every
+    sample's verdict."""
     if order % 2 == 0 or order < 5:
         raise ParameterError("host order must be an odd number >= 5")
     if samples <= 0:
         raise ParameterError("sample count must be positive")
     ranges = _shard_ranges(samples, shards)
-    args = [(order, seed, lo, hi) for lo, hi in ranges]
+    args = [(order, seed, lo, hi, deadline) for lo, hi in ranges]
     results = _run_shards(_verdict_shard, args, parallel)
     counts = {"red": 0, "blue": 0, "both": 0, "neither": 0}
     neither: list[dict] = []

@@ -1,17 +1,24 @@
 """Command-line contract: report shapes, determinism, exit codes."""
 
 import json
+from pathlib import Path
 from time import monotonic
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from cyclestab.cli import main
 from cyclestab.coloring import serialize_coloring, coloring_from_edges
 from cyclestab.formats import to_edge_list, to_graph6
+from cyclestab.graph import build_graph
 
 from itertools import combinations
 
 from conftest import complete, petersen, two_disjoint_cliques
+
+REPORT_SCHEMA = Draft202012Validator(json.loads(
+    (Path(__file__).parent.parent / "schema" / "report.schema.json").read_text()))
 
 
 @pytest.fixture()
@@ -200,8 +207,7 @@ def test_ramsey_sweep_cycle_mask_guard(capsys):
 @pytest.mark.parametrize("extra", [["--serial"], ["--shards", "2"]],
                          ids=["in-process", "forked-pool"])
 def test_ramsey_sweep_timeout(capsys, extra):
-    # 2^20 colorings of K7 take over a second; an expired deadline stops
-    # the filter on its first block
+    # an expired deadline stops the K7 filter on its first node
     started = monotonic()
     code, out = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/4",
                               "--timeout", "0"] + extra)
@@ -210,6 +216,34 @@ def test_ramsey_sweep_timeout(capsys, extra):
     report = json.loads(out)
     assert report["timeout"] is True
     assert report["message"] == "sweep exceeded its deadline"
+
+
+def test_ramsey_sweep_override_space(capsys):
+    # K9 has 36 edges, beyond the 30-edge guard; R(C5, C5) = 9, so the pruned
+    # sweep cuts every branch and finishes in well under a second
+    argv = ["ramsey-sweep", "--n", "5", "--beta", "1/5", "--mode", "exhaustive"]
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "SweepSpaceError"
+    started = monotonic()
+    code, out = _run(capsys, argv + ["--override-space"])
+    assert monotonic() - started < 30.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"]["p"] == 9
+    assert report["result"]["counts"] == {"total": 1 << 36, "mono_found": 1 << 36,
+                                          "certificate_found": 0, "failures": 0}
+
+
+@pytest.mark.parametrize("extra", [["--serial"], ["--shards", "2"]],
+                         ids=["in-process", "forked-pool"])
+def test_arrth_timeout(capsys, extra):
+    code, out = _run(capsys, ["arrth", "--n", "5", "--samples", "300", "--seed", "1",
+                              "--timeout", "0"] + extra)
+    assert code == 3
+    report = json.loads(out)
+    assert report["timeout"] is True
+    assert report["message"] == "verdict sweep exceeded its deadline"
 
 
 def _checkpoint(tmp_path, capsys):
@@ -344,8 +378,6 @@ def test_timeout_exit_code(files, capsys, tmp_path):
                 edges.append((v, v + 1))
             if r + 1 < side:
                 edges.append((v, v + side))
-    from cyclestab.graph import build_graph
-
     grid = tmp_path / "grid.edges"
     grid.write_text(to_edge_list(build_graph(side * side, edges)))
     code, out = _run(capsys, ["spectrum", "--graph", str(grid), "--timeout", "0"])
@@ -358,3 +390,86 @@ def test_enforce_paper_range_exit(files, capsys):
                               "--alpha", "2/100", "--beta", "0",
                               "--enforce-paper-range"])
     assert code == 2
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey-cert", "--coloring", "c.col", "--n", "5", "--beta", "1/0"])
+    assert exc.value.code == 2
+    assert "argument --beta: invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
+# -- exit-code contract for malformed input ---------------------------------
+
+_TOKENS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(["", "R", "B", "X", "1e3", "0x10", "+2", "1_0", "\u0663", "\u00b2",
+                     "99999999999999999999", ">>graph6<<", "~~", "~"]))
+
+
+@st.composite
+def _small_graph(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+@st.composite
+def _truncated_graph6(draw):
+    line = to_graph6(draw(_small_graph()))
+    if draw(st.booleans()):
+        line = ">>graph6<<" + line
+    cut = draw(st.one_of(st.just(len(line)), st.integers(0, len(line))))
+    return line[:cut] + "\n"
+
+
+@st.composite
+def _mangled_lines(draw):
+    """An edge list or a coloring of a small complete host, with up to four
+    lines dropped or repeated and tokens replaced or appended."""
+    if draw(st.booleans()):
+        text = to_edge_list(draw(_small_graph()))
+    else:
+        p = draw(st.integers(1, 9))
+        pairs = list(combinations(range(p), 2))
+        red = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        text = serialize_coloring(coloring_from_edges(
+            p, sorted(red), [e for e in pairs if e not in red]))
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["drop", "repeat", "token", "append"]))
+        if action == "drop" and len(rows) > 1:
+            del rows[i]
+        elif action == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif action == "token" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_TOKENS)
+        else:
+            rows[i].append(draw(_TOKENS))
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+_INPUTS = st.one_of(st.binary(max_size=48), _truncated_graph6().map(str.encode),
+                    _mangled_lines().map(str.encode))
+_ARGVS = st.one_of(
+    st.sampled_from([["spectrum", "--graph"], ["bounds", "--graph"]]),
+    st.tuples(st.integers(3, 6), st.sampled_from(["0", "1/5", "2/5", "1/2", "1", "3/2"]))
+    .map(lambda nb: ["ramsey-cert", "--n", str(nb[0]), "--beta", nb[1], "--coloring"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_INPUTS, argv=_ARGVS)
+def test_malformed_input_exit_contract(tmp_path, capsys, data, argv):
+    # any input maps to a documented exit code and one schema-valid JSON
+    # report; an uncaught exception would fail the call itself
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code = main(argv + [str(path), "--timeout", "1"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads(captured.out)
+    assert [e.message for e in REPORT_SCHEMA.iter_errors(report)] == []

@@ -1,6 +1,7 @@
-"""The exact-search kernels: deadlines, and the sweep filter against an
-independent per-coloring check."""
+"""The exact-search kernels: deadlines, and the sweep filters against an
+independent per-coloring check, each other, and cycle Ramsey numbers."""
 
+import random
 from itertools import combinations
 from time import monotonic
 
@@ -109,9 +110,65 @@ def test_sweep_filter_keeps_input_order():
 
 
 def test_deadline_stops_sweep_filter_on_first_block():
-    # the clock is read before the first block too, so a range shorter than
-    # one block stops
+    # the clock is read on the first node, the range's first block, so a
+    # range whose every branch is cut within one stride stops
     masks = cycle_edge_masks(6, 4)
     with pytest.raises(SearchTimeout, match="sweep exceeded its deadline"):
         _kernel.sweep_filter_range(masks, 15, 0, 10, monotonic() - 1.0)
     assert _kernel.sweep_filter_range(masks, 15, 0, 10, monotonic() + 60.0) == (10, [])
+
+
+def _scanned(masks, m: int, start: int, stop: int):
+    """The scan filter on the red masks of a counter range."""
+    return _kernel.sweep_filter(masks, m, range(2 * start + 1, 2 * stop, 2))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pruned_range_equals_scan_k7(n):
+    masks = cycle_edge_masks(7, n)
+    space = 1 << 20
+    assert _kernel.sweep_filter_range(masks, 21, 0, space) == _scanned(masks, 21, 0, space)
+
+
+def test_pruned_range_equals_scan_on_unaligned_k8_c5_ranges():
+    masks = cycle_edge_masks(8, 5)
+    space = 1 << 27
+    rng = random.Random(20)
+    red = _two_red_k4s()
+    ranges = [(0, 0), (5, 5), (space - 1, space), (space, space), (red >> 1, (red >> 1) + 1),
+              ((red >> 1) - 777, (red >> 1) + 1234)]
+    for length in [0, 1, 2, 3] + [rng.randrange(1, 5000) for _ in range(12)]:
+        lo = rng.randrange(space - length + 1)
+        ranges.append((lo, lo + length))
+    for lo, hi in ranges:
+        assert _kernel.sweep_filter_range(masks, 28, lo, hi) == _scanned(masks, 28, lo, hi)
+
+
+def test_pruned_range_k8_c5_monofree_family():
+    # the colorings of K8 with no monochromatic C5: two red K4s with at most
+    # one red edge between them, or the color swap, taken with edge 0 red
+    index = {e: i for i, e in enumerate(combinations(range(8), 2))}
+    full = (1 << 28) - 1
+    family = set()
+    for side in combinations(range(8), 4):
+        other = [v for v in range(8) if v not in side]
+        base = 0
+        for e in list(combinations(side, 2)) + list(combinations(other, 2)):
+            base |= 1 << index[e]
+        for extra in [0] + [1 << index[(min(u, w), max(u, w))] for u in side for w in other]:
+            red = base | extra
+            family.add(red if red & 1 else red ^ full)
+    assert len(family) == 595
+    mono, monofree = _kernel.sweep_filter_range(cycle_edge_masks(8, 5), 28, 0, 1 << 27)
+    assert monofree == sorted(family)
+    assert mono == (1 << 27) - 595
+
+
+@pytest.mark.parametrize("p,n", [(8, 6), (9, 5)])
+def test_pruned_range_at_cycle_ramsey_number(p, n):
+    # R(C6, C6) = 8 and R(C5, C5) = 9 (Rosta; Faudree and Schelp): every
+    # coloring of K_p has a monochromatic C_n
+    m = p * (p - 1) // 2
+    space = 1 << (m - 1)
+    assert _kernel.sweep_filter_range(cycle_edge_masks(p, n), m, 0, space) == (space, [])
+
