@@ -1,14 +1,15 @@
 """Edge 2-colorings of a host graph and their text format.
 
 File format: first line is the host order p, then one line per edge
-"u v c" with c in {R, B}.  The host is the union of the listed edges and
-is validated to be complete on load unless the caller opts out (missing
-pairs are then treated as uncolored non-edges of the host).
+"u v c" with c in {R, B}; the host is the union of the listed edges.
+``parse_coloring`` validates a file and requires a complete host unless the
+caller opts out; colorings from a red mask reuse a cached K_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .errors import GraphFormatError, ParameterError
@@ -47,25 +48,26 @@ class TwoColoring:
         raise ParameterError(f"unknown color {name!r}")
 
 
+@cache
 def complete_host(p: int) -> Graph:
     return build_graph(p, combinations(range(p), 2))
 
 
 def coloring_from_red_mask(p: int, red_mask: int) -> TwoColoring:
     """Coloring of the complete host K_p from a red edge bitmask over the
-    lexicographically sorted edge list."""
-    edges = list(combinations(range(p), 2))
-    red_edges = [e for i, e in enumerate(edges) if (red_mask >> i) & 1]
-    blue_edges = [e for i, e in enumerate(edges) if not (red_mask >> i) & 1]
-    return TwoColoring(complete_host(p), build_graph(p, red_edges),
-                       build_graph(p, blue_edges))
+    lexicographically sorted edge list; bits past the last edge are ignored."""
+    host = complete_host(p)
+    red = [0] * p
+    for i, (u, v) in enumerate(host.memo("edges", host.edges)):
+        if red_mask >> i & 1:
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+    return TwoColoring(host, Graph(p, red), Graph(p, [h & ~r for h, r in zip(host.adj, red)]))
 
 
 def coloring_from_edges(p: int, red_edges, blue_edges) -> TwoColoring:
-    red = build_graph(p, red_edges)
-    blue = build_graph(p, blue_edges)
-    host_edges = list(red.edges()) + list(blue.edges())
-    return TwoColoring(build_graph(p, host_edges), red, blue)
+    red, blue = build_graph(p, red_edges), build_graph(p, blue_edges)
+    return TwoColoring(Graph(p, [r | b for r, b in zip(red.adj, blue.adj)]), red, blue)
 
 
 def parse_coloring(text: str, require_complete: bool = True) -> TwoColoring:
@@ -99,10 +101,7 @@ def parse_coloring(text: str, require_complete: bool = True) -> TwoColoring:
     if require_complete and len(seen) != p * (p - 1) // 2:
         raise GraphFormatError(
             f"host not complete: {len(seen)} of {p * (p - 1) // 2} edges colored")
-    try:
-        return coloring_from_edges(p, red_edges, blue_edges)
-    except ParameterError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return coloring_from_edges(p, red_edges, blue_edges)
 
 
 def serialize_coloring(col: TwoColoring) -> str:

@@ -7,6 +7,9 @@ label), so downstream reports are reproducible byte for byte.
 
 Induced subgraphs carry ``labels`` mapping local indices back to the
 original host vertices, so certificates can always name host vertices.
+
+Outside data is validated where it enters (``build_graph``, ``formats``,
+``coloring.parse_coloring``); ``Graph(n, adj)`` trusts its rows.
 """
 
 from __future__ import annotations
@@ -42,25 +45,13 @@ def lowest_bit(mask: int) -> int:
 
 
 class Graph:
-    """Immutable undirected simple graph on ``n`` <= 64 vertices."""
+    """Immutable undirected simple graph on ``n`` <= 64 vertices.  The rows
+    are trusted (inside ``n``, loop-free, symmetric); outside data goes
+    through ``build_graph``, ``parse_graph`` or ``parse_coloring``."""
 
     __slots__ = ("n", "adj", "labels", "_memo")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[int]] = None):
-        if n < 0 or n > MAX_VERTICES:
-            raise ParameterError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        if len(adj) != n:
-            raise ParameterError("adjacency row count does not match n")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise ParameterError(f"adjacency row {v} references vertices >= {n}")
-            if (row >> v) & 1:
-                raise ParameterError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for u in bits(adj[v]):
-                if not (adj[u] >> v) & 1:
-                    raise ParameterError(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
@@ -132,7 +123,7 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Build a graph from an edge list; duplicate edges collapse."""
+    """Build a graph from an edge list, validated; duplicate edges collapse."""
     if n < 0 or n > MAX_VERTICES:
         raise ParameterError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     adj = [0] * n

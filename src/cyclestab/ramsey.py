@@ -39,6 +39,7 @@ from .errors import (
     SweepSpaceError,
 )
 from .graph import (
+    MAX_VERTICES,
     Graph,
     bits,
     complement,
@@ -135,18 +136,8 @@ def extract_biclique_partition(g: Graph, deadline=None) -> BicliqueExtraction:
         raise InternalContradictionError(
             "alternating cycle positions are not independent")
     comp = complement(g)
-    star = [(min(a, b), max(a, b)) for a, b in edges_between(comp, u1, u2)]
-    star.sort()
-    if star:
-        core = set(star[0])
-        for a, b in star[1:]:
-            core &= {a, b}
-        if not core:
-            raise InternalContradictionError(
-                "complement cross edges do not share a vertex")
-        center = min(core)
-    else:
-        center = 0
+    star = sorted((min(a, b), max(a, b)) for a, b in edges_between(comp, u1, u2))
+    center = _shared_vertex(star, "complement cross edges do not share a vertex")
     keep1 = u1 & ~(1 << center)
     keep2 = u2 & ~(1 << center)
     if not is_complete_bipartite_between(g, keep1, keep2):
@@ -154,6 +145,17 @@ def extract_biclique_partition(g: Graph, deadline=None) -> BicliqueExtraction:
             "graph minus the star center is not complete bipartite")
     return BicliqueExtraction(tuple(bits(u1)), tuple(bits(u2)), center,
                               tuple(ham), tuple(star))
+
+
+def _shared_vertex(edges: list[tuple[int, int]], message: str) -> int:
+    """The least vertex on every edge (0 when there are none); a pair of
+    disjoint edges raises InternalContradictionError with ``message``."""
+    if not edges:
+        return 0
+    core = set(edges[0]).intersection(*edges[1:])
+    if not core:
+        raise InternalContradictionError(message)
+    return min(core)
 
 
 @dataclass(frozen=True)
@@ -315,19 +317,8 @@ def ramsey_certificate(col: TwoColoring, n: int, beta, deadline=None) -> RamseyC
     v1 = x1 | w1
     v2 = (rest & ~x1) | w2
 
-    cliques = col.color_of(clique_color)
-    cross_edges = sorted((min(a, b), max(a, b))
-                         for a, b in edges_between(cliques, v1, v2))
-    if cross_edges:
-        core = set(cross_edges[0])
-        for a, b in cross_edges[1:]:
-            core &= {a, b}
-        if not core:
-            raise InternalContradictionError(
-                "two disjoint cross edges in the clique color")
-        u_final = min(core)
-    else:
-        u_final = 0
+    u_final = _shared_vertex(edges_between(col.color_of(clique_color), v1, v2),
+                             "two disjoint cross edges in the clique color")
     return _certificate_from_partition(
         col, n, beta, u_final, v1 & ~(1 << u_final), v2 & ~(1 << u_final),
         clique_color)
@@ -415,22 +406,27 @@ def verify_ramsey_certificate(col: TwoColoring, cert: RamseyCertificate,
 MAX_CYCLE_MASKS = 10**6  # a sweep lists more cycle masks only with the override
 
 
-def cycle_edge_masks(p: int, n: int) -> list[int]:
+def cycle_edge_masks(p: int, n: int, deadline=None) -> list[int]:
     """Edge-index masks of every cycle on n vertices inside K_p, for the
-    lexicographic edge order."""
+    lexicographic edge order.  ``deadline`` is checked as the permutations
+    are visited."""
     if n < 3 or n > p:
         return []
-    index = {e: i for i, e in enumerate(combinations(range(p), 2))}
+    edge_bit = [[0] * p for _ in range(p)]
+    for i, (a, b) in enumerate(combinations(range(p), 2)):
+        edge_bit[a][b] = edge_bit[b][a] = 1 << i
     out = []
+    visited = 0
     for verts in combinations(range(p), n):
-        anchor = verts[0]
+        from_anchor = edge_bit[verts[0]]
         for perm in permutations(verts[1:]):
+            visited += 1
+            _kernel._check_deadline(visited, deadline, "sweep")
             if perm[0] > perm[-1]:
                 continue  # each cycle once, orientation-normalized
-            cyc = (anchor,) + perm
-            mask = 0
-            for a, b in zip(cyc, cyc[1:] + (anchor,)):
-                mask |= 1 << index[(a, b) if a < b else (b, a)]
+            mask = from_anchor[perm[0]] | from_anchor[perm[-1]]
+            for a, b in zip(perm, perm[1:]):
+                mask |= edge_bit[a][b]
             out.append(mask)
     return out
 
@@ -556,7 +552,9 @@ def ramsey_sweep(n: int, beta, mode: str = "exhaustive", samples: int = 0,
         ranges = _shard_ranges(samples, shards)
         scale = 1
         total = samples
-    masks = cycle_edge_masks(p, n)
+    if p > MAX_VERTICES:
+        raise ParameterError(f"host order {p} exceeds the {MAX_VERTICES}-vertex cap")
+    masks = cycle_edge_masks(p, n, deadline)
     if checkpoint is not None:
         results = _checkpointed_shards(checkpoint, n, beta, p, masks, ranges, deadline)
     else:
@@ -625,9 +623,10 @@ def _checkpoint_entry(line: str, ranges) -> tuple[int, tuple[int, int, list[int]
 
 def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, deadline):
     """Serial exhaustive shards with a plain-text progress file: one line per
-    shard holding the last completed counter and the partial results.  The
-    file is replaced whole after every batch, so a crash leaves the last
-    complete state."""
+    shard holding the last completed counter and the partial results.  Each
+    unfinished shard runs in one filter call from its resume point, and the
+    file is replaced whole after every completed shard, so a crash leaves
+    the last complete state."""
     import os
 
     m = p * (p - 1) // 2
@@ -652,18 +651,14 @@ def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, de
             fh.write("\n".join(rows) + "\n")
         os.replace(tmp, path)
 
-    batch = 1 << 18
     results = []
     for idx, (lo, hi) in enumerate(ranges):
         last, mono, reds = state.get(idx, (lo - 1, 0, []))
-        cursor = last + 1
-        while cursor < hi:
-            stop = min(cursor + batch, hi)
-            mono_b, reds_b = _kernel.sweep_filter_range(masks, m, cursor, stop, deadline)
-            mono += mono_b
-            reds.extend(reds_b)
-            cursor = stop
-            state[idx] = (cursor - 1, mono, reds)
+        if last + 1 < hi:
+            mono_s, reds_s = _kernel.sweep_filter_range(masks, m, last + 1, hi, deadline)
+            mono += mono_s
+            reds.extend(reds_s)
+            state[idx] = (hi - 1, mono, reds)
             write_state()
         results.append((mono, reds))
     return results

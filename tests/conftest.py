@@ -67,6 +67,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 # -- independent oracles ---------------------------------------------------
 
+def assert_graph_invariant(g: Graph) -> None:
+    """What the trusted ``Graph`` constructor takes on faith: at most 64
+    vertices, one row per vertex inside n, no loop, symmetric rows."""
+    assert 0 <= g.n <= 64
+    assert len(g.adj) == g.n
+    for v, row in enumerate(g.adj):
+        assert 0 <= row < 1 << g.n, f"row {v} leaves the vertex set"
+        assert not (row >> v) & 1, f"loop at {v}"
+        for u in range(g.n):
+            assert (row >> u) & 1 == (g.adj[u] >> v) & 1, f"asymmetric at {u}, {v}"
+
+
 def naive_cycle_lengths(g: Graph) -> set[int]:
     """Lengths of all simple cycles by plain DFS enumeration (no pruning)."""
     lengths: set[int] = set()

@@ -2,9 +2,15 @@
 sweeps, and color verdicts."""
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from time import monotonic
 
 import pytest
 
@@ -22,6 +28,7 @@ from cyclestab.errors import (
     MonoCycleNotFoundError,
     ParameterError,
     PreconditionError,
+    SearchTimeout,
     SweepSpaceError,
 )
 from cyclestab.graph import build_graph, mask_of
@@ -237,6 +244,48 @@ def test_cycle_edge_masks_counts():
     assert all(m.bit_count() == 5 for m in cycle_edge_masks(8, 5))
 
 
+def test_cycle_edge_masks_are_distinct_cycles():
+    edges = list(combinations(range(7), 2))
+    for n in range(3, 8):
+        masks = cycle_edge_masks(7, n)
+        assert len(set(masks)) == len(masks)
+        for mask in masks:
+            g = build_graph(7, [e for i, e in enumerate(edges) if (mask >> i) & 1])
+            assert cycle_of_length(g, n) is not None and g.edge_count() == n
+
+
+def test_cycle_edge_masks_deadline():
+    # the first 12 vertices of K18 alone have 11! orderings to visit, so the
+    # clock is read per permutation, not once per vertex combination
+    with pytest.raises(SearchTimeout, match="sweep exceeded its deadline"):
+        cycle_edge_masks(18, 12, deadline=monotonic())
+
+
+def test_sweep_mask_listing_honours_timeout():
+    # sampled K18/C12 would list about 3.7e11 masks; the deadline stops it
+    import cyclestab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclestab.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "cyclestab.cli", "ramsey-sweep", "--n", "12",
+         "--beta", "1/2", "--mode", "sampled", "--samples", "1", "--override-space",
+         "--timeout", "0"], capture_output=True, text=True, env=env, timeout=20)
+    assert run.returncode == 3
+    assert json.loads(run.stdout)["message"] == "sweep exceeded its deadline"
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_sweep_host_above_cap_refused_before_listing(monkeypatch, mode):
+    from cyclestab import ramsey
+
+    def never(*args, **kwargs):
+        raise AssertionError("cycle masks listed for a host above 64 vertices")
+
+    monkeypatch.setattr(ramsey, "cycle_edge_masks", never)
+    with pytest.raises(ParameterError, match="host order 75 exceeds the 64-vertex cap"):
+        ramsey_sweep(50, Fraction(1, 2), mode, samples=1, space_override=True)
+
+
 def test_sweep_k6_exhaustive():
     report = ramsey_sweep(4, Fraction(1, 2), "exhaustive", parallel=False)
     assert report.total == 1 << 15
@@ -296,6 +345,25 @@ def test_sweep_checkpoint_resume(tmp_path):
     second = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=2,
                           checkpoint=str(path), parallel=False)
     assert first.to_payload() == second.to_payload()
+
+
+def test_sweep_checkpoint_resume_mid_shard(tmp_path):
+    # K8/C5 in 16 shards: counters 0..2^23 - 1 of shard 0 hold two mono-free
+    # colorings, 8241656 and 8244743.  A line written by hand stops between
+    # them; the resumed sweep must give the uncheckpointed report and the
+    # file a fresh checkpointed run writes.
+    path = tmp_path / "progress.txt"
+    header = "cyclestab-sweep v1 n=5 beta=2/5 p=8 shards=16"
+    path.write_text(f"{header}\n0 8243000 8243000 {(8241656 << 1) | 1:x}\n")
+    resumed = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=16,
+                           checkpoint=str(path), parallel=False)
+    plain = ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=16, parallel=False)
+    assert resumed.to_payload() == plain.to_payload()
+    assert resumed.certificate_found == 1190
+    fresh = tmp_path / "fresh.txt"
+    ramsey_sweep(5, Fraction(2, 5), "exhaustive", shards=16, checkpoint=str(fresh),
+                 parallel=False)
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 def test_sweep_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
@@ -438,6 +506,9 @@ def test_coloring_rejects_duplicates_and_bad_lines():
         parse_coloring("3\n0 1 X\n0 2 R\n1 2 B")
     with pytest.raises(GraphFormatError):
         parse_coloring("")
+    for bad in ("3\n0 1 R\n1 2 B\n0 3 R", "3\n0 1 R\n1 1 B\n0 2 R", "65\n0 1 R"):
+        with pytest.raises(GraphFormatError):  # out of range, loop, order above 64
+            parse_coloring(bad)
 
 
 def test_coloring_partition_invariant():
