@@ -317,7 +317,7 @@ def _run_decompose(args):
     checks = None
     code = EXIT_OK
     if cert.branch.kind != "stuck":
-        report = verify_stability_certificate(g, cert, deadline=deadline)
+        report = verify_stability_certificate(g, cert)
         checks = report.to_payload()
         if not report.passed:
             code = EXIT_FAIL
@@ -391,30 +391,27 @@ def _run_verify(args):
     if not isinstance(wrapper, dict) or "command" not in wrapper:
         raise MalformedCertificateError("certificate file lacks a command field")
     command = wrapper["command"]
-    result = wrapper.get("result")
     if command in ("decompose-thdc", "decompose-cycth", "decompose-th3par"):
-        if args.graph is None:
-            raise ParameterError("verify needs --graph for a decomposition certificate")
-        data, text = _read_text(args.graph)
-        if wrapper.get("input_digest") not in (None, content_digest(data)):
-            raise ParameterError("input digest does not match the certificate")
-        g = parse_graph(text)
-        cert = StabilityCertificate.from_payload(result)
-        report = verify_stability_certificate(g, cert, deadline=_deadline(args))
-        digest = content_digest(data)
+        path, missing = args.graph, "verify needs --graph for a decomposition certificate"
     elif command == "ramsey-cert":
-        if args.coloring is None:
-            raise ParameterError("verify needs --coloring for a ramsey certificate")
-        data, text = _read_text(args.coloring)
-        if wrapper.get("input_digest") not in (None, content_digest(data)):
-            raise ParameterError("input digest does not match the certificate")
-        col = parse_coloring(text)
-        cert = RamseyCertificate.from_payload(result)
-        report = verify_ramsey_certificate(col, cert, _deadline(args))
-        digest = content_digest(data)
+        path, missing = args.coloring, "verify needs --coloring for a ramsey certificate"
     else:
         raise MalformedCertificateError(
             f"command {command!r} does not produce a verifiable certificate")
+    if path is None:
+        raise ParameterError(missing)
+    data, text = _read_text(path)
+    digest = content_digest(data)
+    if wrapper.get("input_digest") not in (None, digest):
+        raise ParameterError("input digest does not match the certificate")
+    result = wrapper.get("result")
+    if command == "ramsey-cert":
+        report = verify_ramsey_certificate(parse_coloring(text),
+                                           RamseyCertificate.from_payload(result),
+                                           _deadline(args))
+    else:
+        report = verify_stability_certificate(parse_graph(text),
+                                              StabilityCertificate.from_payload(result))
     code = EXIT_OK if report.passed else EXIT_FAIL
     return _report_skeleton(args, digest, {"certificate": args.certificate},
                             report.to_payload()), code

@@ -91,9 +91,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -328,12 +325,6 @@ def edges_between(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(components(g)) == 1
-
-
 def is_two_connected(g: Graph) -> bool:
     """No cut vertices, connected, at least 3 vertices."""
-    return g.n >= 3 and is_connected(g) and cut_vertices(g) == 0
+    return g.n >= 3 and len(components(g)) == 1 and cut_vertices(g) == 0

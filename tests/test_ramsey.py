@@ -214,6 +214,18 @@ def test_verify_rejects_swapped_vertex():
     assert "class1-clique" in report.failing() or "cross-complete" in report.failing()
 
 
+def test_verify_rejects_check_with_flipped_op():
+    col = _golden_n5()
+    cert = ramsey_certificate(col, 5, Fraction(2, 5))
+    flipped = dataclasses.replace(cert.checks[1], op="<=")
+    flipped = dataclasses.replace(flipped, holds=flipped.reevaluate())
+    assert flipped.name == "class-size-lower"
+    bad = dataclasses.replace(cert, checks=(cert.checks[0], flipped) + cert.checks[2:])
+    report = verify_ramsey_certificate(col, bad)
+    assert not report.passed
+    assert report.failing() == ["check-class-size-lower"]
+
+
 def test_verify_rejects_recolored_edge():
     # recolor one cross edge red: a blue 5-cycle appears through the gap? no,
     # the recoloring breaks cross-completeness and may create a red C5

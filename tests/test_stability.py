@@ -12,7 +12,7 @@ from cyclestab.errors import (
     ParameterError,
 )
 from cyclestab.graph import build_graph, mask_of
-from cyclestab.reporting import canonical_json
+from cyclestab.reporting import Comparison, canonical_json
 from cyclestab.stability import (
     CycleBranch,
     DecompositionParams,
@@ -275,6 +275,38 @@ def test_verify_rejects_tampered_verdict():
     report = verify_stability_certificate(g, bad_cert)
     assert not report.passed
     assert "check-removed-size" in report.failing()
+
+
+def _with_op(c, op):
+    """``c`` with another operator and the verdict that operator gives."""
+    c = dataclasses.replace(c, op=op)
+    return dataclasses.replace(c, holds=c.reevaluate())
+
+
+def _with_checks(cert, checks):
+    return dataclasses.replace(cert, branch=dataclasses.replace(cert.branch, checks=checks))
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    pytest.param(lambda cert: _with_checks(cert, ()),
+                 "check-removed-size", id="checks-deleted"),
+    pytest.param(lambda cert: _with_checks(cert, tuple(
+        _with_op(c, ">=") if c.name == "removed-size" else c for c in cert.branch.checks)),
+                 "check-removed-size", id="check-op-flipped"),
+    pytest.param(lambda cert: _with_checks(cert, cert.branch.checks + (
+        Comparison.make("invented", 1, "<", 2),)),
+                 "check-invented", id="unknown-check"),
+    pytest.param(lambda cert: dataclasses.replace(
+        cert, hypothesis=_with_op(cert.hypothesis, "<=")),
+                 "hypothesis-consistent", id="hypothesis-op-flipped"),
+    pytest.param(lambda cert: dataclasses.replace(cert, procedure="bogus"),
+                 "procedure-known", id="unknown-procedure"),
+])
+def test_verify_rejects_tampered_certificate(tamper, failing):
+    g, cert = _partition_golden()
+    report = verify_stability_certificate(g, tamper(cert))
+    assert not report.passed
+    assert failing in report.failing()
 
 
 def test_verify_rejects_broken_witness():
