@@ -3,13 +3,18 @@
 Witnesses depend on search order (anchors ascending, neighbors ascending),
 so reports are reproducible byte for byte.
 
-Longest-cycle / fixed-length searches run a DFS over simple paths anchored
-at the minimum vertex of the cycle being sought, with two prunes: a
-bitset reachability bound on the achievable cycle length, and a
-best-so-far (resp. target-length) cutoff.  ``_reach_from`` and
-``_check_deadline`` are the package's one reachability loop and one
-deadline check; the spanning-path search and ``graph.components`` use
-them too.
+Both cycle searches are one DFS, ``_cycle_search(adj, n, floor, limit,
+cap, deadline)``, over simple paths anchored at the minimum vertex of the
+cycle being sought.  It returns the first longest cycle with more than
+``floor`` and at most ``limit`` vertices, and stops once it holds one of
+``cap`` or more.  ``find_longest_cycle`` asks for any cycle (floor 0,
+limit n) up to its cap; ``find_cycle_of_length`` asks for exactly ``t``
+vertices (floor t - 1, limit and cap t).  Two prunes cut a branch: a
+bitset reachability bound on the achievable cycle length against the
+best so far, and an anchor with no neighbor left to close on.
+``_reach_from`` and ``_check_deadline`` are the package's one
+reachability loop and one deadline check; the spanning-path search and
+``graph.components`` use them too.
 
 Sweeps split edge 2-colorings by whether one color holds a cycle of a given
 length.  ``sweep_filter`` scans sampled draws one by one, against every
@@ -54,6 +59,62 @@ def _reach_from(adj, cand: int, free: int) -> int:
     return reach
 
 
+def _cycle_search(adj, n: int, floor: int, limit: int, cap: int, deadline):
+    """The first longest cycle, in search order, with more than ``floor``
+    and at most ``limit`` vertices, as a vertex list, or None.  The search
+    stops once it holds one of ``cap`` (at most ``limit``) or more."""
+    best = floor if floor > 2 else 2  # a cycle has at least 3 vertices
+    if limit <= best:
+        return None
+    best_path = None
+    allowed = (1 << n) - 1
+    path = []
+    nodes = 0
+
+    def dfs(u: int, visited: int, a: int) -> bool:
+        """True once ``path`` closes a cycle of ``cap`` or more vertices."""
+        nonlocal best, best_path, nodes
+        nodes += 1
+        _check_deadline(nodes, deadline)
+        depth = len(path)
+        if depth > best:
+            if (adj[u] >> a) & 1:
+                if depth >= cap:
+                    return True
+                best = depth
+                best_path = path.copy()
+            elif depth >= limit:
+                return False
+        free = allowed & ~visited
+        cand = adj[u] & free
+        if not cand:
+            return False
+        reach = _reach_from(adj, cand, free)
+        if depth + reach.bit_count() <= best:
+            return False
+        if not (adj[a] & reach):
+            return False
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            path.append(v)
+            if dfs(v, visited | (1 << v), a):
+                return True
+            path.pop()
+        return False
+
+    for a in range(n):
+        if allowed.bit_count() <= best:
+            break
+        path.clear()
+        path.append(a)
+        if dfs(a, 1 << a, a):
+            return path
+        allowed &= ~(1 << a)
+    return best_path
+
+
 def find_longest_cycle(adj, n: int, deadline=None, cap=None):
     """Exact longest cycle length and one witness path, or (0, None).
 
@@ -61,100 +122,15 @@ def find_longest_cycle(adj, n: int, deadline=None, cap=None):
     vertices, so ``min(length, cap) == min(c, cap)``; when c <= cap the
     result is the uncapped one, witness included.
     """
-    if n < 3:
-        return 0, None
     if cap is None or cap > n:
         cap = n
-    best_len = 0
-    best_path = None
-    allowed = (1 << n) - 1
-    path = []
-    nodes = 0
-
-    def dfs(u: int, visited: int, a: int) -> bool:
-        """True once the best cycle found reaches ``cap``."""
-        nonlocal best_len, best_path, nodes
-        nodes += 1
-        _check_deadline(nodes, deadline)
-        depth = len(path)
-        if depth >= 3 and (adj[u] >> a) & 1 and depth > best_len:
-            best_len = depth
-            best_path = path.copy()
-            if depth >= cap:
-                return True
-        free = allowed & ~visited
-        cand = adj[u] & free
-        if not cand:
-            return False
-        reach = _reach_from(adj, cand, free)
-        if depth + reach.bit_count() <= best_len:
-            return False
-        if not (adj[a] & reach):
-            return False
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            path.append(v)
-            if dfs(v, visited | (1 << v), a):
-                return True
-            path.pop()
-        return False
-
-    for a in range(n):
-        if allowed.bit_count() <= best_len:
-            break
-        path.clear()
-        path.append(a)
-        if dfs(a, 1 << a, a):
-            break
-        allowed &= ~(1 << a)
-    return best_len, best_path
+    path = _cycle_search(adj, n, 0, n, cap, deadline)
+    return (len(path), path) if path else (0, None)
 
 
 def find_cycle_of_length(adj, n: int, t: int, deadline=None):
     """First cycle with exactly ``t`` vertices in search order, or None."""
-    if t < 3 or t > n:
-        return None
-    allowed = (1 << n) - 1
-    path = []
-    nodes = 0
-
-    def dfs(u: int, visited: int, a: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        _check_deadline(nodes, deadline)
-        depth = len(path)
-        if depth == t:
-            return bool((adj[u] >> a) & 1)
-        free = allowed & ~visited
-        cand = adj[u] & free
-        if not cand:
-            return False
-        reach = _reach_from(adj, cand, free)
-        if depth + reach.bit_count() < t:
-            return False
-        if not (adj[a] & reach):
-            return False
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            path.append(v)
-            if dfs(v, visited | (1 << v), a):
-                return True
-            path.pop()
-        return False
-
-    for a in range(n):
-        if allowed.bit_count() < t:
-            break
-        path.clear()
-        path.append(a)
-        if dfs(a, 1 << a, a):
-            return path.copy()
-        allowed &= ~(1 << a)
-    return None
+    return _cycle_search(adj, n, t - 1, t, t, deadline)
 
 
 def sweep_filter(cycle_masks, m: int, reds, deadline=None):

@@ -14,7 +14,6 @@ partial report.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from time import monotonic
@@ -148,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_fraction, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--shards", type=int,
-                   default=int(os.environ.get("CYCLESTAB_THREADS", "1")))
+    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--override-space", action="store_true",
                    help="allow exhaustive sweeps beyond 30 edges and "
@@ -166,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled mode: host is complete of order 2n-1")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int,
-                   default=int(os.environ.get("CYCLESTAB_THREADS", "1")))
+    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--serial", action="store_true")
 
     p = sub.add_parser("verify", help="re-verify a previously emitted certificate")

@@ -261,36 +261,20 @@ def cut_vertices(g: Graph, within: Optional[int] = None) -> int:
 def bipartition(g: Graph, within: Optional[int] = None) -> Optional[tuple[int, int]]:
     """Two-coloring classes if bipartite, else None.
 
-    In each component the side containing its minimum vertex goes to class
-    one; the returned pair is ordered smaller class first (ties keep the
-    class-one side first).
+    The sides come from ``blocks``: the graph is bipartite when every block
+    is, and then a vertex's class is its depth parity in the block DFS, so
+    in each component the side containing its minimum vertex (the DFS root)
+    goes to class one.  The returned pair is ordered smaller class first
+    (ties keep the class-one side first).
     """
     scope = g.full_mask() if within is None else within
-    side1 = 0
-    side2 = 0
-    for comp in components(g, within=scope):
-        start = comp & -comp
-        color = {lowest_bit(start): 0}
-        frontier = [lowest_bit(start)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits(g.adj[v] & comp):
-                    if u in color:
-                        if color[u] == color[v]:
-                            return None
-                    else:
-                        color[u] = 1 - color[v]
-                        nxt.append(u)
-            frontier = nxt
-        for v, c in color.items():
-            if c == 0:
-                side1 |= 1 << v
-            else:
-                side2 |= 1 << v
-    if side2.bit_count() < side1.bit_count():
-        side1, side2 = side2, side1
-    return side1, side2
+    odd = 0
+    for block in blocks(g, scope):
+        if block.side is None:
+            return None
+        odd |= block.vertices & ~block.side
+    even = scope & ~odd
+    return (odd, even) if odd.bit_count() < even.bit_count() else (even, odd)
 
 
 def is_clique(g: Graph, s: int) -> bool:
@@ -326,5 +310,8 @@ def edges_between(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
 
 
 def is_two_connected(g: Graph) -> bool:
-    """No cut vertices, connected, at least 3 vertices."""
-    return g.n >= 3 and len(components(g)) == 1 and cut_vertices(g) == 0
+    """At least 3 vertices, and one block covering them all."""
+    if g.n < 3:
+        return False
+    found = blocks(g)
+    return len(found) == 1 and found[0].vertices == g.full_mask()

@@ -207,16 +207,22 @@ def _validate_ramsey_params(n: int, beta: Fraction) -> None:
         raise ParameterError("beta must lie in (0, floor(n/2)/n]")
 
 
+def _class_size_checks(n: int, beta: Fraction, size1: int,
+                       size2: int) -> tuple[Comparison, ...]:
+    """The class-size bounds of a certificate whose classes have these sizes."""
+    return (
+        Comparison.make("class-sizes-ordered", size1, "<=", size2),
+        Comparison.make("class-size-lower", size1, ">", (1 - beta) * n - 1),
+        Comparison.make("class-size-upper", size2, "<", n),
+    )
+
+
 def _partition_checks(col: TwoColoring, n: int, beta: Fraction, m1: int, m2: int,
                       clique_color: str) -> tuple[Comparison, ...]:
     """The stored checks of a certificate with classes m1, m2 in this order."""
     cliques = col.color_of(clique_color)
     cross = col.color_of("blue" if clique_color == "red" else "red")
-    size1, size2 = m1.bit_count(), m2.bit_count()
-    return (
-        Comparison.make("class-sizes-ordered", size1, "<=", size2),
-        Comparison.make("class-size-lower", size1, ">", (1 - beta) * n - 1),
-        Comparison.make("class-size-upper", size2, "<", n),
+    return _class_size_checks(n, beta, m1.bit_count(), m2.bit_count()) + (
         Comparison.make("class1-clique-missing-edges",
                         _missing_clique_edges(cliques, m1), "==", 0),
         Comparison.make("class2-clique-missing-edges",
@@ -329,13 +335,11 @@ def _exhaustive_certificate(col: TwoColoring, n: int, beta: Fraction,
                             deadline=None) -> RamseyCertificate:
     """Smallest-odd-case fallback: search every (u, class1, orientation)."""
     p = col.n
-    lower = (1 - beta) * n - 1
+    sizes = [size1 for size1 in range(1, (p - 1) // 2 + 1)
+             if all(c.holds for c in _class_size_checks(n, beta, size1, p - 1 - size1))]
     for u in range(p):
         others = [v for v in range(p) if v != u]
-        for size1 in range(1, (p - 1) // 2 + 1):
-            size2 = p - 1 - size1
-            if not (Fraction(size1) > lower and size2 < n and size1 <= size2):
-                continue
+        for size1 in sizes:
             for sub in combinations(others, size1):
                 m1 = mask_of(sub)
                 m2 = mask_of(others) & ~m1

@@ -24,8 +24,13 @@ _OPS = {
 }
 
 
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; a Fraction passes through unconverted."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def frac_str(q) -> str:
-    q = Fraction(q)
+    q = _exact(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -37,7 +42,7 @@ def parse_frac(s: str) -> Fraction:
 
 
 def ceil_frac(q) -> int:
-    q = Fraction(q)
+    q = _exact(q)
     return -((-q.numerator) // q.denominator)
 
 
@@ -54,8 +59,8 @@ class Comparison:
 
     @staticmethod
     def make(name: str, lhs, op: str, rhs, note: str = "") -> "Comparison":
-        lhs = Fraction(lhs)
-        rhs = Fraction(rhs)
+        lhs = _exact(lhs)
+        rhs = _exact(rhs)
         return Comparison(name, lhs, op, rhs, _OPS[op](lhs, rhs), note)
 
     def reevaluate(self) -> bool:
@@ -124,8 +129,8 @@ def sqrt_bound_comparison(name: str, value: Fraction, coeff_sq: Fraction,
     direction "<": asserts value < sqrt(coeff_sq); direction ">=" asserts
     value >= sqrt(coeff_sq).  The sign case taken is recorded in the note.
     """
-    value = Fraction(value)
-    coeff_sq = Fraction(coeff_sq)
+    value = _exact(value)
+    coeff_sq = _exact(coeff_sq)
     if direction == "<":
         if value < 0:
             return Comparison(name, value * abs(value), "<", coeff_sq, True,

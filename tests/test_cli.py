@@ -352,6 +352,18 @@ def test_nonpositive_shards(capsys, argv, shards):
     assert json.loads(out)["error_kind"] == "ParameterError"
 
 
+def test_threads_variable_ignored(files, capsys, monkeypatch):
+    # the shard count has one source, --shards; a stray environment
+    # variable of the old name neither sets it nor breaks the parser
+    monkeypatch.setenv("CYCLESTAB_THREADS", "abc")
+    code, out = _run(capsys, ["spectrum", "--graph", str(files["petersen"])])
+    assert code == 0
+    assert json.loads(out)["result"]["c"] == 9
+    code, out = _run(capsys, ["ramsey-sweep", "--n", "4", "--beta", "1/2", "--serial"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["shards_requested"] == 1
+
+
 def test_bounds_one_longest_cycle_search(files, capsys, monkeypatch):
     from cyclestab import _kernel
 

@@ -1,6 +1,8 @@
-"""The exact-search kernels: deadlines, and the sweep filters against an
-independent per-coloring check, each other, and cycle Ramsey numbers."""
+"""The exact-search kernels: deadlines, frozen cycle-search outputs, and the
+sweep filters against an independent per-coloring check, each other, and
+cycle Ramsey numbers."""
 
+import hashlib
 import random
 from itertools import combinations
 from time import monotonic
@@ -9,11 +11,17 @@ import pytest
 
 from cyclestab import _kernel
 from cyclestab.errors import SearchTimeout
-from cyclestab.graph import build_graph
+from cyclestab.graph import bipartition, build_graph, induced, is_two_connected
 from cyclestab.paths import _exact_spanning_path
 from cyclestab.ramsey import cycle_edge_masks
 
-from conftest import cycle_graph
+from conftest import (
+    complete_bipartite,
+    cycle_graph,
+    random_graph,
+    two_cliques_shared,
+    two_disjoint_cliques,
+)
 
 
 def _grid(side: int):
@@ -53,6 +61,60 @@ def test_deadline_stops_spanning_path_on_first_node():
     assert _exact_spanning_path(g.adj, g.n, 0, 1) == [0, 4, 3, 2, 1]
     with pytest.raises(SearchTimeout, match="spanning-path search exceeded its deadline"):
         _exact_spanning_path(g.adj, g.n, 0, 1, monotonic() - 1.0)
+
+
+def _frozen_corpus(seed: int, count: int):
+    """Random, bipartite and block-joined graphs on at most 12 vertices,
+    each with two random vertex masks."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 12)
+        if i % 3 == 0:
+            g = random_graph(rng, n, rng.random())
+        elif i % 3 == 1:
+            a = rng.randint(0, n)
+            g = build_graph(n, [(u, v) for u in range(a) for v in range(a, n)
+                                if rng.random() < 0.6])
+        else:
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4))
+                                if rng.random() < 0.7])
+        yield g, [rng.getrandbits(n), rng.getrandbits(n)]
+
+
+def _frozen_outputs(g, caps, lengths, masks):
+    """Every cycle-search, bipartition and 2-connectivity output on ``g``."""
+    yield from (_kernel.find_longest_cycle(g.adj, g.n, cap=cap) for cap in caps)
+    yield from (_kernel.find_cycle_of_length(g.adj, g.n, t) for t in lengths)
+    for within in [None] + masks:
+        yield bipartition(g, within)
+        yield is_two_connected(g if within is None else induced(g, within))
+
+
+# sha256 of the outputs below, computed before the cycle searches shared one
+# DFS; a change to any witness, length, side or verdict moves it
+_FROZEN_DIGEST = "c1b509d3e0a2286deb41848c1a1a2b7776683bd7d236587f4b34c387f400c931"
+
+
+def test_frozen_search_outputs():
+    digest = hashlib.sha256()
+    for g, masks in _frozen_corpus(seed=12, count=2000):
+        caps = [None] + list(range(g.n + 2))
+        for out in _frozen_outputs(g, caps, range(g.n + 2), masks):
+            digest.update(repr(out).encode())
+    # the 62-64-vertex families of test_blocks, capped at c and asked only
+    # about lengths whose search is quick
+    rng = random.Random(64)
+    for g, c, lengths in [
+        (complete_bipartite(32, 32), 64, range(2, 66, 2)),
+        (complete_bipartite(31, 33), 62, range(2, 64, 2)),
+        (two_cliques_shared(32), 32, range(0, 33)),
+        (two_disjoint_cliques(32), 32, range(0, 66)),
+        (two_disjoint_cliques(32, bridge=True), 32, range(0, 66)),
+    ]:
+        masks = [rng.getrandbits(g.n), rng.getrandbits(g.n)]
+        for out in _frozen_outputs(g, [0, 3, 5, c], lengths, masks):
+            digest.update(repr(out).encode())
+    assert digest.hexdigest() == _FROZEN_DIGEST
 
 
 def test_sweep_filter_k6_c4():
