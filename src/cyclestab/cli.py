@@ -6,14 +6,27 @@ certificate was produced.  Stdout is byte-identical for identical inputs,
 parameters, and seed; wall-clock timing goes to stderr (or into the
 report with --timing, which opts out of byte-stability).
 
-Exit codes: 0 success / certificate verified; 1 verification failure or
-counterexample exemplar; 2 input or parameter error; 3 timeout with a
-partial report.
+Each command is one entry of ``_COMMANDS``: its help text, its handler
+and its options; the options that commands share (the input file,
+--timeout, --format, --timing, the decomposition and Ramsey parameters)
+are written once above it, and ``build_parser`` loops over it.  A handler
+gets the arguments and the run's deadline (--timeout seconds after the
+arguments parse) and returns (report, exit code) or raises a library
+error.  ``main`` turns the error into the report: a SearchTimeout gives
+a partial report; any other error reports its message under its class
+name, or under the kind that ``_ERROR_KINDS`` gives it (an unsatisfiable
+hypothesis also carries its monochromatic witness).
+
+Exit codes: 0 success / certificate verified; 1 verification failure,
+counterexample exemplar or internal contradiction; 2 input or parameter
+error; 3 timeout with a partial report.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from fractions import Fraction
 from time import monotonic
@@ -31,14 +44,10 @@ from .errors import (
     CycleStabError,
     GraphFormatError,
     HypothesisUnsatisfiableError,
-    HypothesisViolatedError,
     InternalContradictionError,
     MalformedCertificateError,
-    NoSuchPathError,
     ParameterError,
-    PreconditionError,
     SearchTimeout,
-    SweepSpaceError,
 )
 from .formats import parse_graph
 from .paths import (
@@ -72,13 +81,23 @@ EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
 
 
-def _fraction(text: str) -> Fraction:
-    """A rational option; a zero denominator is a usage error like any other
-    malformed value, not a traceback."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+def _number(parse, name: str):
+    """An argparse type: a value that ``parse`` rejects (a zero denominator
+    included) is a usage error like any other, not a traceback.  So is NaN:
+    no clock reading exceeds it, so a NaN deadline would never expire."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            value = math.nan
+        if value != value:
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
+        return value
+    return convert
+
+
+_fraction = _number(Fraction, "Fraction")
+_seconds = _number(float, "float")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,91 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Ramsey coloring sweeps on graphs of up to 64 vertices.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, graph=False, coloring=False):
-        if graph:
-            p.add_argument("--graph", required=True, help="graph6 or edge-list file")
-        if coloring:
-            p.add_argument("--coloring", required=True, help="coloring file")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="per-search deadline in seconds; partial report on expiry")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--timing", action="store_true",
-                       help="embed wall-clock timing in the report "
-                            "(report is then not byte-stable)")
-
-    p = sub.add_parser("spectrum", help="exact cycle spectrum with witnesses")
-    common(p, graph=True)
-
-    p = sub.add_parser("bounds", help="classical edge-count bound checks")
-    common(p, graph=True)
-
-    p = sub.add_parser("paths", help="constructive path operations")
-    common(p, graph=True)
-    p.add_argument("--op", required=True,
-                   choices=("ham", "near", "bip-path", "bip-cycle"))
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-
-    p = sub.add_parser("decompose-thdc", help="two-component stability decomposition")
-    common(p, graph=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, default=Fraction(0))
-    p.add_argument("--enforce-paper-range", action="store_true")
-
-    p = sub.add_parser("decompose-cycth", help="pancyclic-or-vertex-split decomposition")
-    common(p, graph=True)
-    p.add_argument("--gamma", type=_fraction, required=True)
-    p.add_argument("--enforce-paper-range", action="store_true")
-
-    p = sub.add_parser("decompose-th3par", help="three-part stability decomposition")
-    common(p, graph=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, default=Fraction(0))
-    p.add_argument("--enforce-paper-range", action="store_true")
-
-    p = sub.add_parser("le4", help="biclique partition extraction")
-    common(p, graph=True)
-
-    p = sub.add_parser("ramsey-cert", help="certificate for a coloring without "
-                                           "a monochromatic C_n")
-    common(p, coloring=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=_fraction, required=True)
-
-    p = sub.add_parser("ramsey-sweep", help="exhaustive or sampled coloring sweep")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=_fraction, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--override-space", action="store_true",
-                   help="allow exhaustive sweeps beyond 30 edges and "
-                        "sweeps beyond 10^6 cycle masks")
-    p.add_argument("--checkpoint", default=None,
-                   help="plain-text progress file, one line per shard")
-    p.add_argument("--serial", action="store_true",
-                   help="run shards sequentially in-process")
-
-    p = sub.add_parser("arrth", help="which color is pancyclic up to n")
-    common(p)
-    p.add_argument("--coloring", default=None, help="coloring file (single verdict)")
-    p.add_argument("--n", type=int, default=None,
-                   help="sampled mode: host is complete of order 2n-1")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--serial", action="store_true")
-
-    p = sub.add_parser("verify", help="re-verify a previously emitted certificate")
-    common(p)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--coloring", default=None)
-    p.add_argument("--certificate", required=True, help="report JSON from a "
-                                                        "decompose or ramsey-cert run")
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -189,10 +127,10 @@ def _read_text(path: str) -> tuple[bytes, str]:
         raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _deadline(args):
-    if getattr(args, "timeout", None) is None:
-        return None
-    return monotonic() + args.timeout
+def _load(path: str, parse):
+    """The input file's digest, and its graph or coloring from ``parse``."""
+    data, text = _read_text(path)
+    return content_digest(data), parse(text)
 
 
 def _flatten(payload, prefix="", rows=None):
@@ -228,7 +166,7 @@ def payload_to_csv(payload: dict) -> str:
 
 
 def _emit(report: dict, args, wall: float) -> None:
-    if getattr(args, "timing", False):
+    if args.timing:
         report.setdefault("meta", {})["wall_seconds"] = round(wall, 3)
     text = canonical_json(report) if args.format == "json" else payload_to_csv(report)
     sys.stdout.write(text)
@@ -246,30 +184,24 @@ def _report_skeleton(args, digest, parameters, result, checks=None) -> dict:
     }
 
 
-def _run_spectrum(args):
-    data, text = _read_text(args.graph)
-    g = parse_graph(text)
-    report = cycle_spectrum(g, _deadline(args))
+def _run_spectrum(args, deadline):
+    digest, g = _load(args.graph, parse_graph)
+    report = cycle_spectrum(g, deadline)
     code = EXIT_TIMEOUT if report.timed_out else EXIT_OK
-    return _report_skeleton(args, content_digest(data), {}, report.to_payload()), code
+    return _report_skeleton(args, digest, {}, report.to_payload()), code
 
 
-def _run_bounds(args):
-    data, text = _read_text(args.graph)
-    g = parse_graph(text)
-    deadline = _deadline(args)
+def _run_bounds(args, deadline):
+    digest, g = _load(args.graph, parse_graph)
     reports = [check_erdos_gallai(g, deadline), check_fan_lv_weng(g, deadline),
                check_bollobas_pancyclicity(g, deadline)]
     failed = [r.name for r in reports if r.applicable and not r.passed]
     result = {"bounds": [r.to_payload() for r in reports]}
-    code = EXIT_FAIL if failed else EXIT_OK
-    return _report_skeleton(args, content_digest(data), {}, result), code
+    return _report_skeleton(args, digest, {}, result), EXIT_FAIL if failed else EXIT_OK
 
 
-def _run_paths(args):
-    data, text = _read_text(args.graph)
-    g = parse_graph(text)
-    deadline = _deadline(args)
+def _run_paths(args, deadline):
+    digest, g = _load(args.graph, parse_graph)
     parameters = {"op": args.op}
     for name in ("x", "y", "t"):
         if getattr(args, name) is not None:
@@ -290,13 +222,11 @@ def _run_paths(args):
         if args.t is None:
             raise ParameterError("--t is required for op bip-cycle")
         result = {"cycle": list(bipartite_even_cycle(g, args.t))}
-    return _report_skeleton(args, content_digest(data), parameters, result), EXIT_OK
+    return _report_skeleton(args, digest, parameters, result), EXIT_OK
 
 
-def _run_decompose(args):
-    data, text = _read_text(args.graph)
-    g = parse_graph(text)
-    deadline = _deadline(args)
+def _run_decompose(args, deadline):
+    digest, g = _load(args.graph, parse_graph)
     if args.command == "decompose-cycth":
         parameters = {"gamma": frac_str(args.gamma),
                       "enforce_paper_range": args.enforce_paper_range}
@@ -318,68 +248,54 @@ def _run_decompose(args):
         checks = report.to_payload()
         if not report.passed:
             code = EXIT_FAIL
-    return _report_skeleton(args, content_digest(data), parameters,
-                            cert.to_payload(), checks), code
+    return _report_skeleton(args, digest, parameters, cert.to_payload(), checks), code
 
 
-def _run_le4(args):
-    data, text = _read_text(args.graph)
-    g = parse_graph(text)
-    ext = extract_biclique_partition(g, _deadline(args))
-    return _report_skeleton(args, content_digest(data), {}, ext.to_payload()), EXIT_OK
+def _run_le4(args, deadline):
+    digest, g = _load(args.graph, parse_graph)
+    ext = extract_biclique_partition(g, deadline)
+    return _report_skeleton(args, digest, {}, ext.to_payload()), EXIT_OK
 
 
-def _run_ramsey_cert(args):
-    data, text = _read_text(args.coloring)
-    col = parse_coloring(text)
-    deadline = _deadline(args)
+def _run_ramsey_cert(args, deadline):
+    digest, col = _load(args.coloring, parse_coloring)
     parameters = {"n": args.n, "beta": frac_str(args.beta)}
     cert = ramsey_certificate(col, args.n, args.beta, deadline)
     report = verify_ramsey_certificate(col, cert, deadline)
     code = EXIT_OK if report.passed else EXIT_FAIL
-    return _report_skeleton(args, content_digest(data), parameters,
-                            cert.to_payload(), report.to_payload()), code
+    return _report_skeleton(args, digest, parameters, cert.to_payload(),
+                            report.to_payload()), code
 
 
-def _run_ramsey_sweep(args):
-    deadline = _deadline(args)
+def _run_ramsey_sweep(args, deadline):
     report = ramsey_sweep(args.n, args.beta, args.mode, samples=args.samples,
                           shards=args.shards, seed=args.seed,
                           space_override=args.override_space,
                           parallel=not args.serial, checkpoint=args.checkpoint,
                           deadline=deadline)
-    parameters = report.to_payload()["parameters"]
-    parameters["shards_requested"] = args.shards
     result = report.to_payload()
     result["counts_sum_to_total"] = report.counts_sum_ok()
+    parameters = dict(result["parameters"], shards_requested=args.shards)
     code = EXIT_FAIL if report.failures else EXIT_OK
-    skeleton = _report_skeleton(args, "sha256:-", parameters, result)
     sys.stderr.write(f"shard_layout: {[list(r) for r in report.shard_ranges]}\n")
-    return skeleton, code
+    return _report_skeleton(args, "sha256:-", parameters, result), code
 
 
-def _run_arrth(args):
-    deadline = _deadline(args)
+def _run_arrth(args, deadline):
     if args.coloring is not None:
-        data, text = _read_text(args.coloring)
-        col = parse_coloring(text)
+        digest, col = _load(args.coloring, parse_coloring)
         verdict = pancyclic_color_verdict(col, deadline)
-        return _report_skeleton(args, content_digest(data), {},
-                                verdict.to_payload()), EXIT_OK
+        return _report_skeleton(args, digest, {}, verdict.to_payload()), EXIT_OK
     if args.n is None or args.samples <= 0:
         raise ParameterError("arrth needs --coloring, or --n with --samples")
-    order = 2 * args.n - 1
-    report = verdict_sample_sweep(order, args.samples, seed=args.seed,
+    report = verdict_sample_sweep(2 * args.n - 1, args.samples, seed=args.seed,
                                   shards=args.shards, parallel=not args.serial,
                                   deadline=deadline)
-    parameters = report.to_payload()["parameters"]
-    return _report_skeleton(args, "sha256:-", parameters,
-                            report.to_payload()), EXIT_OK
+    result = report.to_payload()
+    return _report_skeleton(args, "sha256:-", result["parameters"], result), EXIT_OK
 
 
-def _run_verify(args):
-    import json
-
+def _run_verify(args, deadline):
     _, cert_text = _read_text(args.certificate)
     try:
         wrapper = json.loads(cert_text)
@@ -405,7 +321,7 @@ def _run_verify(args):
     if command == "ramsey-cert":
         report = verify_ramsey_certificate(parse_coloring(text),
                                            RamseyCertificate.from_payload(result),
-                                           _deadline(args))
+                                           deadline)
     else:
         report = verify_stability_certificate(parse_graph(text),
                                               StabilityCertificate.from_payload(result))
@@ -414,53 +330,87 @@ def _run_verify(args):
                             report.to_payload()), code
 
 
-_HANDLERS = {
-    "spectrum": _run_spectrum,
-    "bounds": _run_bounds,
-    "paths": _run_paths,
-    "decompose-thdc": _run_decompose,
-    "decompose-cycth": _run_decompose,
-    "decompose-th3par": _run_decompose,
-    "le4": _run_le4,
-    "ramsey-cert": _run_ramsey_cert,
-    "ramsey-sweep": _run_ramsey_sweep,
-    "arrth": _run_arrth,
-    "verify": _run_verify,
+# argparse options as (flag, add_argument keywords), each shared one once
+_GRAPH = ("--graph", {"required": True, "help": "graph6 or edge-list file"})
+_COLORING = ("--coloring", {"required": True, "help": "coloring file"})
+_COMMON = (
+    ("--timeout", {"type": _seconds,
+                   "help": "per-search deadline in seconds; partial report on expiry"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    ("--timing", {"action": "store_true",
+                  "help": "embed wall-clock timing in the report "
+                          "(report is then not byte-stable)"}),
+)
+_PAPER_RANGE = ("--enforce-paper-range", {"action": "store_true"})
+_ALPHA_BETA = (("--alpha", {"type": _fraction, "required": True}),
+               ("--beta", {"type": _fraction, "default": Fraction(0)}), _PAPER_RANGE)
+_N_BETA = (("--n", {"type": int, "required": True}),
+           ("--beta", {"type": _fraction, "required": True}))
+_SAMPLES = ("--samples", {"type": int, "default": 0})
+_SEED = ("--seed", {"type": int, "default": 0})
+_SHARDS = ("--shards", {"type": int, "default": 1})
+_INT = {"type": int}
+
+# name: (help, handler, options), in help order
+_COMMANDS = {
+    "spectrum": ("exact cycle spectrum with witnesses", _run_spectrum,
+                 (_GRAPH, *_COMMON)),
+    "bounds": ("classical edge-count bound checks", _run_bounds, (_GRAPH, *_COMMON)),
+    "paths": ("constructive path operations", _run_paths, (
+        _GRAPH, *_COMMON,
+        ("--op", {"required": True, "choices": ("ham", "near", "bip-path", "bip-cycle")}),
+        ("--x", _INT), ("--y", _INT), ("--t", _INT))),
+    "decompose-thdc": ("two-component stability decomposition", _run_decompose,
+                       (_GRAPH, *_COMMON, *_ALPHA_BETA)),
+    "decompose-cycth": ("pancyclic-or-vertex-split decomposition", _run_decompose, (
+        _GRAPH, *_COMMON, ("--gamma", {"type": _fraction, "required": True}),
+        _PAPER_RANGE)),
+    "decompose-th3par": ("three-part stability decomposition", _run_decompose,
+                         (_GRAPH, *_COMMON, *_ALPHA_BETA)),
+    "le4": ("biclique partition extraction", _run_le4, (_GRAPH, *_COMMON)),
+    "ramsey-cert": ("certificate for a coloring without a monochromatic C_n",
+                    _run_ramsey_cert, (_COLORING, *_COMMON, *_N_BETA)),
+    "ramsey-sweep": ("exhaustive or sampled coloring sweep", _run_ramsey_sweep, (
+        *_COMMON, *_N_BETA,
+        ("--mode", {"choices": ("exhaustive", "sampled"), "default": "exhaustive"}),
+        _SAMPLES, _SHARDS, _SEED,
+        ("--override-space", {"action": "store_true",
+                              "help": "allow exhaustive sweeps beyond 30 edges and "
+                                      "sweeps beyond 10^6 cycle masks"}),
+        ("--checkpoint", {"help": "plain-text progress file, one line per shard"}),
+        ("--serial", {"action": "store_true",
+                      "help": "run shards sequentially in-process"}))),
+    "arrth": ("which color is pancyclic up to n", _run_arrth, (
+        *_COMMON,
+        ("--coloring", {"help": "coloring file (single verdict)"}),
+        ("--n", {"type": int, "help": "sampled mode: host is complete of order 2n-1"}),
+        _SAMPLES, _SEED, _SHARDS, ("--serial", {"action": "store_true"}))),
+    "verify": ("re-verify a previously emitted certificate", _run_verify, (
+        *_COMMON, ("--graph", {}), ("--coloring", {}),
+        ("--certificate", {"required": True,
+                           "help": "report JSON from a decompose or ramsey-cert run"}))),
 }
+
+# the library errors reported under a kind other than their class name
+_ERROR_KINDS = {HypothesisUnsatisfiableError: "hypothesis-unsatisfiable",
+                InternalContradictionError: "internal-contradiction"}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = monotonic()
+    deadline = None if args.timeout is None else started + args.timeout
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, code = _COMMANDS[args.command][1](args, deadline)
     except SearchTimeout as exc:
-        partial = {"command": args.command, "timeout": True, "message": str(exc)}
-        _emit(partial, args, monotonic() - started)
-        return EXIT_TIMEOUT
-    except HypothesisUnsatisfiableError as exc:
+        report = {"command": args.command, "timeout": True, "message": str(exc)}
+        code = EXIT_TIMEOUT
+    except CycleStabError as exc:
         report = {"command": args.command, "error": str(exc),
-                  "error_kind": "hypothesis-unsatisfiable",
-                  "mono_color": exc.color, "mono_witness": list(exc.witness)}
-        _emit(report, args, monotonic() - started)
-        return EXIT_INPUT
-    except (GraphFormatError, ParameterError, PreconditionError,
-            HypothesisViolatedError, SweepSpaceError, NoSuchPathError,
-            MalformedCertificateError) as exc:
-        report = {"command": args.command, "error": str(exc),
-                  "error_kind": type(exc).__name__}
-        _emit(report, args, monotonic() - started)
-        return EXIT_INPUT
-    except InternalContradictionError as exc:
-        report = {"command": args.command, "error": str(exc),
-                  "error_kind": "internal-contradiction"}
-        _emit(report, args, monotonic() - started)
-        return EXIT_FAIL
-    except CycleStabError as exc:  # residual library errors
-        report = {"command": args.command, "error": str(exc),
-                  "error_kind": type(exc).__name__}
-        _emit(report, args, monotonic() - started)
-        return EXIT_INPUT
+                  "error_kind": _ERROR_KINDS.get(type(exc), type(exc).__name__)}
+        if isinstance(exc, HypothesisUnsatisfiableError):
+            report.update(mono_color=exc.color, mono_witness=list(exc.witness))
+        code = EXIT_FAIL if isinstance(exc, InternalContradictionError) else EXIT_INPUT
     _emit(report, args, monotonic() - started)
     return code
 

@@ -176,7 +176,7 @@ class Block(NamedTuple):
     side: Optional[int]
 
 
-def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
+def blocks(g: Graph, within: Optional[int] = None) -> tuple[Block, ...]:
     """Biconnected blocks that hold an edge.
 
     One iterative Hopcroft-Tarjan DFS (CACM 16(6), 1973).  A stack holds
@@ -188,9 +188,11 @@ def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
     block of the tree edge above its lower end.  So a block is bipartite,
     with depth parity as its sides, unless one of its back edges joins two
     depths of the same parity.
-    ``within`` restricts the graph to a vertex subset without relabeling.
+    ``within`` restricts the graph to a vertex subset without relabeling;
+    without it, the blocks are computed once per graph.
     """
-    scope = g.full_mask() if within is None else within
+    if within is None:
+        return g.memo("blocks", lambda: blocks(g, g.full_mask()))
     adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n
@@ -199,7 +201,7 @@ def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
     even = 0  # vertices at even depth
     odd = 0   # vertices with a back edge to an ancestor at the same parity
     out = []
-    for root in bits(scope):
+    for root in bits(within):
         if (visited >> root) & 1:
             continue
         visited |= 1 << root
@@ -210,7 +212,7 @@ def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
         open_vertices = [root]
         while stack:
             v = stack[-1]
-            cand = adj[v] & scope & ~visited
+            cand = adj[v] & within & ~visited
             if cand:
                 u = (cand & -cand).bit_length() - 1
                 bit = 1 << u
@@ -245,7 +247,7 @@ def blocks(g: Graph, within: Optional[int] = None) -> list[Block]:
                             break
                     block = closed | 1 << parent
                     out.append(Block(block, None if closed & odd else block & even))
-    return out
+    return tuple(out)
 
 
 def cut_vertices(g: Graph, within: Optional[int] = None) -> int:
@@ -269,7 +271,7 @@ def bipartition(g: Graph, within: Optional[int] = None) -> Optional[tuple[int, i
     """
     scope = g.full_mask() if within is None else within
     odd = 0
-    for block in blocks(g, scope):
+    for block in blocks(g, within):
         if block.side is None:
             return None
         odd |= block.vertices & ~block.side

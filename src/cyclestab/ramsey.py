@@ -481,9 +481,14 @@ class SweepReport:
         return payload
 
 
+MAX_SHARDS = 2**16  # the shard list is built and reported whole
+
+
 def _shard_ranges(space: int, shards: int) -> list[tuple[int, int]]:
     if shards < 1:
         raise ParameterError(f"shard count must be at least 1, got {shards}")
+    if shards > MAX_SHARDS:
+        raise ParameterError(f"shard count must be at most {MAX_SHARDS}, got {shards}")
     step, extra = divmod(space, shards)
     out = []
     lo = 0

@@ -1,6 +1,9 @@
 """Command-line contract: report shapes, determinism, exit codes."""
 
+import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 from time import monotonic
 
@@ -10,6 +13,20 @@ from jsonschema import Draft202012Validator
 
 from cyclestab.cli import main
 from cyclestab.coloring import serialize_coloring, coloring_from_edges
+from cyclestab.errors import (
+    CycleStabError,
+    GraphFormatError,
+    HypothesisUnsatisfiableError,
+    HypothesisViolatedError,
+    InternalContradictionError,
+    MalformedCertificateError,
+    MonoCycleNotFoundError,
+    NoSuchPathError,
+    ParameterError,
+    PreconditionError,
+    SearchTimeout,
+    SweepSpaceError,
+)
 from cyclestab.formats import to_edge_list, to_graph6
 from cyclestab.graph import build_graph
 
@@ -352,6 +369,24 @@ def test_nonpositive_shards(capsys, argv, shards):
     assert json.loads(out)["error_kind"] == "ParameterError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ramsey-sweep", "--n", "4", "--beta", "1/2", "--serial"],
+    ["arrth", "--n", "4", "--samples", "5", "--serial"],
+], ids=["ramsey-sweep", "arrth"])
+def test_shard_count_capped(capsys, argv):
+    # the shard list is built whole, so a huge count is refused before it is
+    from cyclestab.ramsey import MAX_SHARDS
+
+    for shards in (MAX_SHARDS + 1, 10**9):
+        started = monotonic()
+        code, out = _run(capsys, argv + ["--shards", str(shards)])
+        assert monotonic() - started < 1.0
+        assert code == 2
+        report = json.loads(out)
+        assert report["error_kind"] == "ParameterError"
+        assert report["error"] == f"shard count must be at most {MAX_SHARDS}, got {shards}"
+
+
 def test_threads_variable_ignored(files, capsys, monkeypatch):
     # the shard count has one source, --shards; a stray environment
     # variable of the old name neither sets it nor breaks the parser
@@ -377,6 +412,22 @@ def test_bounds_one_longest_cycle_search(files, capsys, monkeypatch):
     assert code == 0
     assert all(b["applicable"] for b in json.loads(out)["result"]["bounds"])
     assert len(calls) == 1
+
+
+def test_bounds_one_block_search(files, capsys, monkeypatch):
+    # K6 is one block, so every block DFS over it closes exactly one Block;
+    # the 2-connectivity test and the cycle bounds share one DFS
+    from cyclestab import graph
+
+    k6 = files["tmp"] / "k6.g6"
+    k6.write_text(to_graph6(complete(6)) + "\n")
+    closed = []
+    block = graph.Block
+    monkeypatch.setattr(graph, "Block", lambda *args: closed.append(args) or block(*args))
+    code, out = _run(capsys, ["bounds", "--graph", str(k6)])
+    assert code == 0
+    assert all(b["applicable"] for b in json.loads(out)["result"]["bounds"])
+    assert len(closed) == 1
 
 
 def test_timeout_exit_code(files, capsys, tmp_path):
@@ -409,6 +460,98 @@ def test_zero_denominator_is_usage_error(capsys):
         main(["ramsey-cert", "--coloring", "c.col", "--n", "5", "--beta", "1/0"])
     assert exc.value.code == 2
     assert "argument --beta: invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "+nan"])
+def test_nan_timeout_is_usage_error(capsys, value):
+    # no clock reading exceeds NaN, so it would turn the deadline off
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey-sweep", "--n", "4", "--beta", "1/4", "--timeout", value, "--serial"])
+    assert exc.value.code == 2
+    assert f"argument --timeout: invalid float value: '{value}'" in capsys.readouterr().err
+
+
+# -- the parser's text and the error reports ---------------------------------
+
+_COMMAND_NAMES = ("spectrum", "bounds", "paths", "decompose-thdc", "decompose-cycth",
+                  "decompose-th3par", "le4", "ramsey-cert", "ramsey-sweep", "arrth",
+                  "verify")
+_TEXT_ARGVS = [[], ["--help"], ["--version"]] + [
+    argv for name in _COMMAND_NAMES
+    for argv in ([name, "--help"], [name], [name, "--bogus"])] + [
+    ["spectrum", "--graph", "g.g6", "--format", "xml"],
+    ["paths", "--graph", "g.g6", "--op", "walk"],
+    ["ramsey-sweep", "--n", "4", "--beta", "1/2", "--mode", "random"],
+    ["ramsey-sweep", "--n", "four", "--beta", "1/2"],
+    ["decompose-thdc", "--graph", "g.g6", "--alpha", "x"],
+    ["spectrum", "--graph", "g.g6", "--timeout", "soon"],
+]
+
+
+def _text_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    err = re.sub(r"wall_seconds: \d+\.\d+", "wall_seconds: -", captured.err)
+    return code, captured.out, err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help differently in other Python versions")
+def test_cli_text_frozen(capsys, monkeypatch):
+    # help, version, usage errors and their exit codes, byte for byte, under
+    # Python 3.11's argparse on an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(_TEXT_ARGVS) == 42
+    outcomes = [_text_outcome(capsys, argv) for argv in _TEXT_ARGVS]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "46b8b99724a3c055a9456c0a4e1bfc83585f86e6b56d17f54973bffb8637ce6c"
+
+
+# (raised error, exit code, report keys after command and error; None for
+# the timeout report)
+_ERROR_CASES = [
+    (CycleStabError("e"), 2, {"error_kind": "CycleStabError"}),
+    (GraphFormatError("e"), 2, {"error_kind": "GraphFormatError"}),
+    (ParameterError("e"), 2, {"error_kind": "ParameterError"}),
+    (HypothesisViolatedError("e"), 2, {"error_kind": "HypothesisViolatedError"}),
+    (NoSuchPathError("e"), 2, {"error_kind": "NoSuchPathError"}),
+    (PreconditionError("which", "e"), 2, {"error_kind": "PreconditionError"}),
+    (HypothesisUnsatisfiableError("e", "red", (0, 1, 2)), 2,
+     {"error_kind": "hypothesis-unsatisfiable", "mono_color": "red",
+      "mono_witness": [0, 1, 2]}),
+    (MonoCycleNotFoundError("e"), 2, {"error_kind": "MonoCycleNotFoundError"}),
+    (InternalContradictionError("e"), 1, {"error_kind": "internal-contradiction"}),
+    (MalformedCertificateError("e"), 2, {"error_kind": "MalformedCertificateError"}),
+    (SweepSpaceError("e"), 2, {"error_kind": "SweepSpaceError"}),
+    (SearchTimeout("e"), 3, None),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_library_error_reports(files, capsys, monkeypatch, fmt):
+    # every library error leaves the command as one report with its exit code
+    from cyclestab import cli
+
+    assert {type(exc) for exc, _, _ in _ERROR_CASES} == {
+        CycleStabError, *CycleStabError.__subclasses__()}
+    for exc, expected_code, extra in _ERROR_CASES:
+        def fail(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cycle_spectrum", fail)
+        code, out = _run(capsys, ["spectrum", "--graph", str(files["petersen"]),
+                                  "--format", fmt])
+        assert code == expected_code, type(exc)
+        if extra is None:
+            expected = {"command": "spectrum", "timeout": True, "message": "e"}
+        else:
+            expected = {"command": "spectrum", "error": "e", **extra}
+        if fmt == "json":
+            assert list(json.loads(out).items()) == list(expected.items())
+        else:
+            assert out == cli.payload_to_csv(expected)
 
 
 # -- exit-code contract for malformed input ---------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from cyclestab.cli import main
+from cyclestab.cli import _COMMANDS, main
 from cyclestab.coloring import coloring_from_edges, serialize_coloring
 from cyclestab.formats import to_edge_list, to_graph6
 
@@ -95,6 +95,11 @@ RUNS = {
     "timeout": (["ramsey-sweep", "--n", "4", "--beta", "1/4", "--timeout", "0",
                  "--serial"], 3),
 }
+
+
+def test_every_command_has_a_run():
+    # verify's runs are in test_verify_report_conforms
+    assert {argv[0] for argv, _ in RUNS.values()} | {"verify"} == set(_COMMANDS)
 
 
 @pytest.mark.parametrize("name", list(RUNS))
