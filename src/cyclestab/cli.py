@@ -17,6 +17,16 @@ a partial report; any other error reports its message under its class
 name, or under the kind that ``_ERROR_KINDS`` gives it (an unsatisfiable
 hypothesis also carries its monochromatic witness).
 
+``build_parser`` builds only the subparser of the command that argv's
+first token names: building all eleven cost more than the run of a small
+command.  When that token names no command (``--help``, ``--version``, no
+arguments, an unknown or abbreviated name) it builds them all.  A
+one-command parser gives ``add_subparsers`` a metavar that lists every
+command, so the usage line of its unrecognised-arguments error is the
+full parser's; the full parser keeps the default metavar, under which a
+missing command is reported as "command".  Help text, usage errors and
+exit codes are the same either way.
+
 Exit codes: 0 success / certificate verified; 1 verification failure,
 counterexample exemplar or internal contradiction; 2 input or parameter
 error; 3 timeout with a partial report.
@@ -100,14 +110,27 @@ _fraction = _number(Fraction, "Fraction")
 _seconds = _number(float, "float")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv`` (``sys.argv[1:]`` when None): with only the
+    subparser of the command that its first token names, or with all of
+    them when that token names none."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser = argparse.ArgumentParser(
         prog="cyclestab",
         description="Exact cycle spectra, stability decompositions, and "
                     "Ramsey coloring sweeps on graphs of up to 64 vertices.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, options) in _COMMANDS.items():
+    if argv and argv[0] in _COMMANDS:
+        # the usage line of an unrecognised-arguments error still lists them all
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = (argv[0],)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    for name in names:
+        help_text, _, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -397,7 +420,7 @@ _ERROR_KINDS = {HypothesisUnsatisfiableError: "hypothesis-unsatisfiable",
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     started = monotonic()
     deadline = None if args.timeout is None else started + args.timeout
     try:

@@ -510,6 +510,61 @@ def test_cli_text_frozen(capsys, monkeypatch):
     assert digest == "46b8b99724a3c055a9456c0a4e1bfc83585f86e6b56d17f54973bffb8637ce6c"
 
 
+# argv shapes that main tells apart by their first token: an option before
+# or after a command, a name that is not a command or only abbreviates one,
+# and a command followed by arguments that only the top-level parser reports
+_DISPATCH_ARGVS = [
+    ["spectrum", "--version"], ["--version", "spectrum"], ["-h", "ramsey-cert"],
+    ["bogus"], ["ramsey"],
+    ["ramsey-cert", "--coloring", "c", "--n", "5", "--beta", "1/4", "extra"],
+    ["spectrum", "--graph", "g", "x", "y"],
+    ["arrth", "--n", "4", "--zzz"],
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help differently in other Python versions")
+def test_cli_dispatch_text_frozen(capsys, monkeypatch):
+    # the same texts and exit codes whether main builds one subparser or all
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = [_text_outcome(capsys, argv) for argv in _DISPATCH_ARGVS]
+    assert [code for code, _, _ in outcomes] == [2, 0, 0, 2, 2, 2, 2, 2]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "23495a76c0834b8da0f01fb086e5b8ac3cd27ddc7a4c53b4f11ec232b6b2a35c"
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["ramsey-cert", "--coloring", "c.col", "--n", "5", "--beta", "1/4"], 1),
+    (["--help"], 11),
+])
+@pytest.mark.parametrize("console", [False, True])
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch, argv, built,
+                                              console):
+    # main builds the one subparser its command needs (all of them when argv
+    # names none), from its argument or, as the console script calls it,
+    # from sys.argv
+    import argparse
+
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    if console:
+        monkeypatch.setattr(sys, "argv", ["cyclestab", *argv])
+    try:
+        main(None if console else argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(calls) == built
+    if built == 1:
+        assert calls == [argv[0]]
+
+
 # (raised error, exit code, report keys after command and error; None for
 # the timeout report)
 _ERROR_CASES = [
