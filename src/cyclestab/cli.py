@@ -358,7 +358,8 @@ _GRAPH = ("--graph", {"required": True, "help": "graph6 or edge-list file"})
 _COLORING = ("--coloring", {"required": True, "help": "coloring file"})
 _COMMON = (
     ("--timeout", {"type": _seconds,
-                   "help": "per-search deadline in seconds; partial report on expiry"}),
+                   "help": "deadline in seconds for the whole run; partial "
+                           "report on expiry"}),
     ("--format", {"choices": ("json", "csv"), "default": "json"}),
     ("--timing", {"action": "store_true",
                   "help": "embed wall-clock timing in the report "
