@@ -121,14 +121,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         description="Exact cycle spectra, stability decompositions, and "
                     "Ramsey coloring sweeps on graphs of up to 64 vertices.")
     parser.add_argument("--version", action="version", version=__version__)
+    names, metavar = _COMMANDS, None
     if argv and argv[0] in _COMMANDS:
         # the usage line of an unrecognised-arguments error still lists them all
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        names = (argv[0],)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = _COMMANDS
+        names, metavar = (argv[0],), "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, _, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
