@@ -207,22 +207,16 @@ def _validate_ramsey_params(n: int, beta: Fraction) -> None:
         raise ParameterError("beta must lie in (0, floor(n/2)/n]")
 
 
-def _class_size_checks(n: int, beta: Fraction, size1: int,
-                       size2: int) -> tuple[Comparison, ...]:
-    """The class-size bounds of a certificate whose classes have these sizes."""
-    return (
-        Comparison.make("class-sizes-ordered", size1, "<=", size2),
-        Comparison.make("class-size-lower", size1, ">", (1 - beta) * n - 1),
-        Comparison.make("class-size-upper", size2, "<", n),
-    )
-
-
 def _partition_checks(col: TwoColoring, n: int, beta: Fraction, m1: int, m2: int,
                       clique_color: str) -> tuple[Comparison, ...]:
     """The stored checks of a certificate with classes m1, m2 in this order."""
     cliques = col.color_of(clique_color)
     cross = col.color_of("blue" if clique_color == "red" else "red")
-    return _class_size_checks(n, beta, m1.bit_count(), m2.bit_count()) + (
+    size1, size2 = m1.bit_count(), m2.bit_count()
+    return (
+        Comparison.make("class-sizes-ordered", size1, "<=", size2),
+        Comparison.make("class-size-lower", size1, ">", (1 - beta) * n - 1),
+        Comparison.make("class-size-upper", size2, "<", n),
         Comparison.make("class1-clique-missing-edges",
                         _missing_clique_edges(cliques, m1), "==", 0),
         Comparison.make("class2-clique-missing-edges",
@@ -230,15 +224,6 @@ def _partition_checks(col: TwoColoring, n: int, beta: Fraction, m1: int, m2: int
         Comparison.make("cross-missing-edges",
                         _missing_cross_edges(cross, m1, m2), "==", 0),
     )
-
-
-def _certificate_from_partition(col: TwoColoring, n: int, beta: Fraction, u: int,
-                                m1: int, m2: int, clique_color: str) -> RamseyCertificate:
-    if m1.bit_count() > m2.bit_count():
-        m1, m2 = m2, m1
-    return RamseyCertificate(n, beta, col.n, u, tuple(bits(m1)), tuple(bits(m2)),
-                             clique_color,
-                             _partition_checks(col, n, beta, m1, m2, clique_color))
 
 
 def _missing_clique_edges(g: Graph, mask: int) -> int:
@@ -256,13 +241,13 @@ def ramsey_certificate(col: TwoColoring, n: int, beta, deadline=None) -> RamseyC
     """Certificate pipeline for a 2-coloring of K_{floor((2-beta)n)} in
     which neither color contains C_n.
 
-    Odd n = 2k + 1 with k >= 3 follows the constructive route: find a
+    Every odd n = 2k + 1 follows the proof's construction: find a
     monochromatic cycle on 2k + 2 vertices, extract the biclique partition
     of that color inside it, classify the remaining vertices by their
-    neighborhoods, and remove the center of the cross star.  For k = 2 the
-    partition is found by exhaustive search over (u, class1, orientation).
-    Even n is rejected: a monochromatic C_n always exists at this host
-    order, so the hypothesis cannot be met.
+    neighborhoods, and remove the center of the cross star.  For n = 5 the
+    only host that can get this far is K8, since R(C5, C5) = 9.  Even n is
+    rejected: a monochromatic C_n always exists at this host order, so the
+    hypothesis cannot be met.
     """
     beta = Fraction(beta)
     _validate_ramsey_params(n, beta)
@@ -280,25 +265,13 @@ def ramsey_certificate(col: TwoColoring, n: int, beta, deadline=None) -> RamseyC
             "even n admits no coloring without a monochromatic C_n at this "
             "host order, yet none was found")
 
+    # p >= 2n - k = 3(k + 1) - 1, so mono_even_cycle's order guard holds
     k = (n - 1) // 2
-    even_color = None
-    even_cycle = None
-    for name in COLOR_NAMES:
-        witness = cycle_of_length(col.color_of(name), 2 * k + 2, deadline)
-        if witness is not None:
-            even_color, even_cycle = name, witness
-            break
-    if even_color is None:
-        raise InternalContradictionError(
-            f"no monochromatic C_{2 * k + 2} in a complete host of order {p}")
+    even_color, even_cycle = mono_even_cycle(col, k + 1, deadline)
     clique_color = "blue" if even_color == "red" else "red"
-
-    if k == 2:
-        return _exhaustive_certificate(col, n, beta, deadline)
-
+    even_graph = col.color_of(even_color)
     cyc_mask = mask_of(even_cycle)
-    sub = induced(col.color_of(even_color), cyc_mask)
-    ext = extract_biclique_partition(sub, deadline)
+    ext = extract_biclique_partition(induced(even_graph, cyc_mask), deadline)
     sub_verts = list(bits(cyc_mask))
     u_center = sub_verts[ext.u]
     side1 = mask_of(sub_verts[i] for i in ext.u1)
@@ -310,7 +283,6 @@ def ramsey_certificate(col: TwoColoring, n: int, beta, deadline=None) -> RamseyC
         w1 = side2 & ~(1 << u_center)
         w2 = side1
     # w1 has k vertices, w2 has k + 1
-    even_graph = col.color_of(even_color)
     x1 = 0
     rest = col.host.full_mask() & ~(w1 | w2)
     for v in bits(rest):
@@ -324,35 +296,13 @@ def ramsey_certificate(col: TwoColoring, n: int, beta, deadline=None) -> RamseyC
     v1 = x1 | w1
     v2 = (rest & ~x1) | w2
 
-    u_final = _shared_vertex(edges_between(col.color_of(clique_color), v1, v2),
-                             "two disjoint cross edges in the clique color")
-    return _certificate_from_partition(
-        col, n, beta, u_final, v1 & ~(1 << u_final), v2 & ~(1 << u_final),
-        clique_color)
-
-
-def _exhaustive_certificate(col: TwoColoring, n: int, beta: Fraction,
-                            deadline=None) -> RamseyCertificate:
-    """Smallest-odd-case fallback: search every (u, class1, orientation)."""
-    p = col.n
-    sizes = [size1 for size1 in range(1, (p - 1) // 2 + 1)
-             if all(c.holds for c in _class_size_checks(n, beta, size1, p - 1 - size1))]
-    for u in range(p):
-        others = [v for v in range(p) if v != u]
-        for size1 in sizes:
-            for sub in combinations(others, size1):
-                m1 = mask_of(sub)
-                m2 = mask_of(others) & ~m1
-                for clique_color in COLOR_NAMES:
-                    cliques = col.color_of(clique_color)
-                    cross = col.color_of("blue" if clique_color == "red" else "red")
-                    if (_missing_clique_edges(cliques, m1) == 0
-                            and _missing_clique_edges(cliques, m2) == 0
-                            and _missing_cross_edges(cross, m1, m2) == 0):
-                        return _certificate_from_partition(
-                            col, n, beta, u, m1, m2, clique_color)
-    raise InternalContradictionError(
-        "no valid partition found by exhaustive search")
+    u = _shared_vertex(edges_between(col.color_of(clique_color), v1, v2),
+                       "two disjoint cross edges in the clique color")
+    m1, m2 = v1 & ~(1 << u), v2 & ~(1 << u)
+    if m1.bit_count() > m2.bit_count():
+        m1, m2 = m2, m1
+    return RamseyCertificate(n, beta, p, u, tuple(bits(m1)), tuple(bits(m2)), clique_color,
+                             _partition_checks(col, n, beta, m1, m2, clique_color))
 
 
 def verify_ramsey_certificate(col: TwoColoring, cert: RamseyCertificate,

@@ -2,6 +2,7 @@
 sweeps, and color verdicts."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -43,6 +44,7 @@ from cyclestab.ramsey import (
     verdict_sample_sweep,
     verify_ramsey_certificate,
 )
+from cyclestab.reporting import canonical_json
 
 from conftest import complete, complete_bipartite
 
@@ -418,11 +420,10 @@ def test_sweep_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     assert again.to_payload() == first.to_payload()
 
 
-def test_monofree_set_matches_structural_enumeration():
-    # independent oracle for the order-8 sweep filter: colorings of K8
-    # without a monochromatic C5 are exactly those with one color forming
-    # two 4-cliques joined by at most one cross edge at a shared vertex.
-    # enumerate that family directly and compare sets on a counter window.
+def _k8_monofree_family():
+    """The red masks of every coloring of K8 without a monochromatic C5,
+    built from the structure alone: one color forms two 4-cliques joined
+    by at most one cross edge."""
     edge_index = {e: i for i, e in enumerate(combinations(range(8), 2))}
 
     def emask(pairs):
@@ -443,14 +444,39 @@ def test_monofree_set_matches_structural_enumeration():
         for red in variants:
             family.add(red)
             family.add(red ^ full)  # color swap
+    return family
 
+
+def test_monofree_set_matches_structural_enumeration():
+    # independent oracle for the order-8 sweep filter: compare the
+    # structural family with the filter's output on a counter window
     from cyclestab import _kernel
+
+    family = _k8_monofree_family()
     masks = cycle_edge_masks(8, 5)
     assert len(family) == 1190
     window = 1 << 20
     _, monofree = _kernel.sweep_filter_range(masks, 28, 0, window)
     expected = sorted(m for m in family if m & 1 and (m >> 1) < window)
     assert sorted(monofree) == expected
+
+
+@pytest.mark.parametrize("beta, digest", [
+    (Fraction(2, 5), "d28911618dd2ba72fb7c0ea19a8219fba506f80a5a7e53ef6dd6528a88d317a2"),
+    (Fraction(3, 10), "bfae681258ded338f6ac58d9b697bcb777ff4cf115fdb1425bd56dee7db42535"),
+])
+def test_certificates_frozen_on_whole_k8_domain(beta, digest):
+    # R(C5, C5) = 9, so these 1190 colorings are every input on which the
+    # n = 5 pipeline builds a certificate; the digest covers each
+    # (certificate, verifier report) pair, sorted by red mask
+    rows = []
+    for red in sorted(_k8_monofree_family()):
+        col = coloring_from_red_mask(8, red)
+        cert = ramsey_certificate(col, 5, beta)
+        report = verify_ramsey_certificate(col, cert)
+        assert report.passed, (red, report.failing())
+        rows.append([cert.to_payload(), report.to_payload()])
+    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == digest
 
 
 def test_sweep_k8_slice_certificates():
