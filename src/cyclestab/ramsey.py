@@ -354,7 +354,7 @@ def verify_ramsey_certificate(col: TwoColoring, cert: RamseyCertificate,
               f"no {name} cycle on {cert.n} vertices")
     for cmp in cert.checks:
         named(f"check-{cmp.name}", rebuilt.pop(cmp.name, None) == cmp,
-              "stored verdict re-evaluates")
+              "stored check equals the rebuilt one")
     return CheckReport(tuple(checks))
 
 

@@ -462,8 +462,8 @@ def test_monofree_set_matches_structural_enumeration():
 
 
 @pytest.mark.parametrize("beta, digest", [
-    (Fraction(2, 5), "d28911618dd2ba72fb7c0ea19a8219fba506f80a5a7e53ef6dd6528a88d317a2"),
-    (Fraction(3, 10), "bfae681258ded338f6ac58d9b697bcb777ff4cf115fdb1425bd56dee7db42535"),
+    (Fraction(2, 5), "27d592b89352fd7afb9ee5aca71d5b0847b1ba7c63dd90663b71bae40b9d9a1f"),
+    (Fraction(3, 10), "a10a37068fc560f17280dff560f01ab270c334f7a7da360ecda79ba166b17a00"),
 ])
 def test_certificates_frozen_on_whole_k8_domain(beta, digest):
     # R(C5, C5) = 9, so these 1190 colorings are every input on which the
