@@ -127,7 +127,8 @@ def extract_biclique_partition(g: Graph, deadline=None) -> BicliqueExtraction:
     if cycle_of_length(g, p - 1, deadline) is not None:
         raise PreconditionError("odd-cycle-in-graph",
                                 f"graph contains a cycle on {p - 1} vertices")
-    if cycle_of_length(complement(g), p - 1, deadline) is not None:
+    comp = complement(g)
+    if cycle_of_length(comp, p - 1, deadline) is not None:
         raise PreconditionError("odd-cycle-in-complement",
                                 f"complement contains a cycle on {p - 1} vertices")
     u1 = mask_of(ham[0::2])
@@ -135,7 +136,6 @@ def extract_biclique_partition(g: Graph, deadline=None) -> BicliqueExtraction:
     if not is_independent(g, u1) or not is_independent(g, u2):
         raise InternalContradictionError(
             "alternating cycle positions are not independent")
-    comp = complement(g)
     star = sorted((min(a, b), max(a, b)) for a, b in edges_between(comp, u1, u2))
     center = _shared_vertex(star, "complement cross edges do not share a vertex")
     keep1 = u1 & ~(1 << center)
@@ -586,9 +586,12 @@ def _checkpoint_entry(line: str, ranges) -> tuple[int, tuple[int, int, list[int]
 def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, deadline):
     """Serial exhaustive shards with a plain-text progress file: one line per
     shard holding the last completed counter and the partial results.  Each
-    unfinished shard runs in one filter call from its resume point, and the
-    file is replaced whole after every completed shard, so a crash leaves
-    the last complete state."""
+    unfinished shard runs in one filter call from its resume point.  The
+    file is replaced whole, so a crash leaves the last complete state, but
+    at most once a second and once after the last shard: rewriting it after
+    every shard would cost time quadratic in the shard count.  So after a
+    crash or a timeout, at most about one second of completed shards runs
+    again."""
     import os
 
     m = p * (p - 1) // 2
@@ -614,6 +617,8 @@ def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, de
         os.replace(tmp, path)
 
     results = []
+    written = monotonic()
+    unwritten = False
     for idx, (lo, hi) in enumerate(ranges):
         last, mono, reds = state.get(idx, (lo - 1, 0, []))
         if last + 1 < hi:
@@ -621,8 +626,13 @@ def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, de
             mono += mono_s
             reds.extend(reds_s)
             state[idx] = (hi - 1, mono, reds)
-            write_state()
+            unwritten = True
+            if monotonic() - written >= 1:
+                write_state()
+                written, unwritten = monotonic(), False
         results.append((mono, reds))
+    if unwritten:
+        write_state()
     return results
 
 

@@ -420,6 +420,28 @@ def test_sweep_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     assert again.to_payload() == first.to_payload()
 
 
+def test_sweep_checkpoint_replaced_at_most_once_a_second(tmp_path, monkeypatch):
+    # rewriting the whole file after each of S shards costs O(S^2); the
+    # file is replaced at most once a second plus once after the last shard
+    path = tmp_path / "progress.txt"
+    replaced = []
+    real_replace = os.replace
+
+    def counting_replace(src, dst):
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    started = monotonic()
+    report = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=512,
+                          checkpoint=str(path), parallel=False)
+    elapsed = monotonic() - started
+    assert 1 <= len(replaced) <= 2 + elapsed
+    assert len(path.read_text().splitlines()) == 513
+    plain = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=512, parallel=False)
+    assert report.to_payload() == plain.to_payload()
+
+
 def _k8_monofree_family():
     """The red masks of every coloring of K8 without a monochromatic C5,
     built from the structure alone: one color forms two 4-cliques joined
