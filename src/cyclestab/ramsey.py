@@ -50,7 +50,15 @@ from .graph import (
     is_independent,
     mask_of,
 )
-from .reporting import CheckReport, Comparison, NamedCheck, frac_str, parse_frac
+from .reporting import (
+    CheckReport,
+    Comparison,
+    NamedCheck,
+    frac_str,
+    parse_frac,
+    parse_int,
+    parse_ints,
+)
 
 COLOR_NAMES = ("red", "blue")
 
@@ -189,10 +197,11 @@ class RamseyCertificate:
         try:
             return RamseyCertificate(
                 int(payload["n"]), parse_frac(payload["beta"]), int(payload["p"]),
-                int(payload["u"]), tuple(payload["u1"]), tuple(payload["u2"]),
+                parse_int(payload["u"]), parse_ints(payload["u1"]),
+                parse_ints(payload["u2"]),
                 payload["clique_color"],
                 tuple(Comparison.from_payload(c) for c in payload["checks"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedCertificateError(f"bad certificate payload: {exc}") from exc
 
 

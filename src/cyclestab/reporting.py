@@ -37,8 +37,31 @@ def frac_str(q) -> str:
 def parse_frac(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedCertificateError(f"bad rational {s!r}") from exc
+
+
+def parse_int(x) -> int:
+    """A JSON integer; anything else (a string, a float, a boolean, null,
+    an object or an array) raises MalformedCertificateError."""
+    if type(x) is not int:
+        raise MalformedCertificateError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def parse_str(x) -> str:
+    """A JSON string; anything else raises MalformedCertificateError."""
+    if type(x) is not str:
+        raise MalformedCertificateError(f"expected a JSON string, got {x!r}")
+    return x
+
+
+def parse_ints(xs) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple, checked as ``parse_int`` checks
+    each entry."""
+    if type(xs) is not list:
+        raise MalformedCertificateError(f"expected a JSON array of integers, got {xs!r}")
+    return tuple(parse_int(x) for x in xs)
 
 
 def ceil_frac(q) -> int:
@@ -82,8 +105,8 @@ class Comparison:
     def from_payload(p: dict) -> "Comparison":
         try:
             return Comparison(
-                p["name"], parse_frac(p["lhs"]), p["op"], parse_frac(p["rhs"]),
-                bool(p["holds"]), p.get("note", ""),
+                parse_str(p["name"]), parse_frac(p["lhs"]), parse_str(p["op"]),
+                parse_frac(p["rhs"]), bool(p["holds"]), parse_str(p.get("note", "")),
             )
         except KeyError as exc:
             raise MalformedCertificateError(f"comparison missing field {exc}") from exc

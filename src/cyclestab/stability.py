@@ -55,6 +55,8 @@ from .reporting import (
     ceil_frac,
     frac_str,
     parse_frac,
+    parse_ints,
+    parse_str,
     sqrt_bound_comparison,
 )
 
@@ -214,11 +216,12 @@ class StabilityCertificate:
                 branch: Branch = CycleBranch(
                     b["claim"], parse_frac(b["threshold"]),
                     tuple(int(t) for t in b["required_lengths"]),
-                    {int(t): tuple(w) for t, w in b["witnesses"].items()})
+                    {int(t): parse_ints(w) for t, w in b["witnesses"].items()})
             elif kind == "partition":
                 b = p["branch"]
                 branch = PartitionBranch(
-                    tuple(b["removed"]), tuple(b["part1"]), tuple(b["part2"]),
+                    parse_ints(b["removed"]), parse_ints(b["part1"]),
+                    parse_ints(b["part2"]),
                     b["structure"],
                     tuple(Comparison.from_payload(c) for c in b["checks"]))
             elif kind == "stuck":
@@ -227,11 +230,11 @@ class StabilityCertificate:
             else:
                 raise MalformedCertificateError(f"unknown branch kind {kind!r}")
             return StabilityCertificate(
-                p["procedure"], int(p["n"]),
+                parse_str(p["procedure"]), int(p["n"]),
                 DecompositionParams.from_payload(p["parameters"]),
                 Comparison.from_payload(p["hypothesis"]),
                 branch, tuple(p["trace"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedCertificateError(f"bad certificate payload: {exc}") from exc
 
 

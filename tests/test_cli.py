@@ -183,6 +183,31 @@ def test_ramsey_cert_and_verify(files, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("entry", ["a", 1.5, None, {}, True])
+@pytest.mark.parametrize("source", ["ramsey", "decompose"])
+def test_verify_rejects_non_integer_vertex(files, capsys, source, entry):
+    # a vertex entry that is not a JSON integer is a malformed certificate
+    if source == "ramsey":
+        flag, path = "--coloring", files["golden5"]
+        argv = ["ramsey-cert", "--n", "5", "--beta", "2/5"]
+        vertices = ("u1",)
+    else:
+        flag, path = "--graph", files["two13"]
+        argv = ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]
+        vertices = ("branch", "part1")
+    code, out = _run(capsys, argv + [flag, str(path)])
+    report = json.loads(out)
+    node = report["result"]
+    for key in vertices:
+        node = node[key]
+    node[0] = entry
+    cert_file = files["tmp"] / "mangled.json"
+    cert_file.write_text(json.dumps(report))
+    code, out = _run(capsys, ["verify", flag, str(path), "--certificate", str(cert_file)])
+    assert code == 2
+    assert json.loads(out)["error_kind"] == "MalformedCertificateError"
+
+
 def test_ramsey_cert_hypothesis_unsatisfiable(files, capsys):
     allred8 = files["tmp"] / "allred8.col"
     allred8.write_text(
@@ -669,13 +694,69 @@ _ARGVS = st.one_of(
     .map(lambda nb: ["ramsey-cert", "--n", str(nb[0]), "--beta", nb[1], "--coloring"]))
 
 
-@settings(max_examples=300, deadline=None,
+# the verify branch: fixed input files, each with the command whose valid
+# report it mangles by replacing one JSON value under "result"
+_VERIFY_SOURCES = {
+    "k8.col": ("--coloring", ["ramsey-cert", "--n", "5", "--beta", "2/5"]),
+    "two13.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+    "k7.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+}
+_VALID_REPORTS: dict = {}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=3),
+    st.sampled_from([[], {}, [0], {"0": 0}]))
+_VERIFY_CASES = st.tuples(st.sampled_from(sorted(_VERIFY_SOURCES)),
+                          st.integers(0, 10**6), _JSON_VALUES)
+
+
+def _verify_inputs(tmp_path) -> None:
+    u1, u2 = [1, 2, 3], [4, 5, 6, 7]
+    red = list(combinations(u1, 2)) + list(combinations(u2, 2)) + [(0, v) for v in u1]
+    blue = [(a, b) for a in u1 for b in u2] + [(0, v) for v in u2]
+    (tmp_path / "k8.col").write_text(serialize_coloring(coloring_from_edges(8, red, blue)))
+    (tmp_path / "two13.edges").write_text(to_edge_list(two_disjoint_cliques(13)))
+    (tmp_path / "k7.edges").write_text(to_edge_list(complete(7)))
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every value below ``node``, in document order."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mangled_report(capsys, tmp_path, name, index, value) -> bytes:
+    if name not in _VALID_REPORTS:
+        flag, argv = _VERIFY_SOURCES[name]
+        assert main(argv + [flag, str(tmp_path / name)]) == 0
+        _VALID_REPORTS[name] = capsys.readouterr().out
+    report = json.loads(_VALID_REPORTS[name])
+    paths = list(_json_paths(report["result"]))
+    *parents, key = paths[index % len(paths)]
+    node = report["result"]
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return json.dumps(report).encode()
+
+
+@settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_INPUTS, argv=_ARGVS)
-def test_malformed_input_exit_contract(tmp_path, capsys, data, argv):
+@given(case=st.one_of(st.tuples(_INPUTS, _ARGVS), _VERIFY_CASES))
+def test_malformed_input_exit_contract(tmp_path, capsys, case):
     # any input maps to a documented exit code and one schema-valid JSON
     # report; an uncaught exception would fail the call itself
     path = tmp_path / "input"
+    if isinstance(case[0], bytes):
+        data, argv = case
+    else:
+        name, index, value = case
+        _verify_inputs(tmp_path)
+        data = _mangled_report(capsys, tmp_path, name, index, value)
+        flag = _VERIFY_SOURCES[name][0]
+        argv = ["verify", flag, str(tmp_path / name), "--certificate"]
     path.write_bytes(data)
     code = main(argv + [str(path), "--timeout", "1"])
     captured = capsys.readouterr()
