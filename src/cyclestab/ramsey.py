@@ -56,8 +56,8 @@ from .reporting import (
     NamedCheck,
     frac_str,
     parse_frac,
-    parse_int,
     parse_ints,
+    parse_typed,
 )
 
 COLOR_NAMES = ("red", "blue")
@@ -196,9 +196,9 @@ class RamseyCertificate:
     def from_payload(payload: dict) -> "RamseyCertificate":
         try:
             return RamseyCertificate(
-                int(payload["n"]), parse_frac(payload["beta"]), int(payload["p"]),
-                parse_int(payload["u"]), parse_ints(payload["u1"]),
-                parse_ints(payload["u2"]),
+                parse_typed(payload["n"], int), parse_frac(payload["beta"]),
+                parse_typed(payload["p"], int), parse_typed(payload["u"], int),
+                parse_ints(payload["u1"]), parse_ints(payload["u2"]),
                 payload["clique_color"],
                 tuple(Comparison.from_payload(c) for c in payload["checks"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

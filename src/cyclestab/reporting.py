@@ -41,27 +41,21 @@ def parse_frac(s: str) -> Fraction:
         raise MalformedCertificateError(f"bad rational {s!r}") from exc
 
 
-def parse_int(x) -> int:
-    """A JSON integer; anything else (a string, a float, a boolean, null,
-    an object or an array) raises MalformedCertificateError."""
-    if type(x) is not int:
-        raise MalformedCertificateError(f"expected a JSON integer, got {x!r}")
-    return x
-
-
-def parse_str(x) -> str:
-    """A JSON string; anything else raises MalformedCertificateError."""
-    if type(x) is not str:
-        raise MalformedCertificateError(f"expected a JSON string, got {x!r}")
+def parse_typed(x, kind: type):
+    """``x`` when its type is exactly ``kind`` (int, str or bool); anything
+    else, a JSON boolean where an integer belongs included, raises
+    MalformedCertificateError."""
+    if type(x) is not kind:
+        raise MalformedCertificateError(f"expected a JSON {kind.__name__}, got {x!r}")
     return x
 
 
 def parse_ints(xs) -> tuple[int, ...]:
-    """A JSON array of integers as a tuple, checked as ``parse_int`` checks
-    each entry."""
+    """A JSON array of integers as a tuple, each entry checked as
+    ``parse_typed`` checks it."""
     if type(xs) is not list:
         raise MalformedCertificateError(f"expected a JSON array of integers, got {xs!r}")
-    return tuple(parse_int(x) for x in xs)
+    return tuple(parse_typed(x, int) for x in xs)
 
 
 def ceil_frac(q) -> int:
@@ -105,8 +99,9 @@ class Comparison:
     def from_payload(p: dict) -> "Comparison":
         try:
             return Comparison(
-                parse_str(p["name"]), parse_frac(p["lhs"]), parse_str(p["op"]),
-                parse_frac(p["rhs"]), bool(p["holds"]), parse_str(p.get("note", "")),
+                parse_typed(p["name"], str), parse_frac(p["lhs"]),
+                parse_typed(p["op"], str), parse_frac(p["rhs"]),
+                parse_typed(p["holds"], bool), parse_typed(p.get("note", ""), str),
             )
         except KeyError as exc:
             raise MalformedCertificateError(f"comparison missing field {exc}") from exc

@@ -56,7 +56,7 @@ from .reporting import (
     frac_str,
     parse_frac,
     parse_ints,
-    parse_str,
+    parse_typed,
     sqrt_bound_comparison,
 )
 
@@ -117,7 +117,7 @@ class DecompositionParams:
         try:
             return DecompositionParams(
                 parse_frac(p["alpha"]), parse_frac(p["beta"]), parse_frac(p["gamma"]),
-                bool(p["enforce_paper_range"]))
+                parse_typed(p["enforce_paper_range"], bool))
         except KeyError as exc:
             raise MalformedCertificateError(f"parameters missing field {exc}") from exc
 
@@ -215,7 +215,7 @@ class StabilityCertificate:
                 b = p["branch"]
                 branch: Branch = CycleBranch(
                     b["claim"], parse_frac(b["threshold"]),
-                    tuple(int(t) for t in b["required_lengths"]),
+                    parse_ints(b["required_lengths"]),
                     {int(t): parse_ints(w) for t, w in b["witnesses"].items()})
             elif kind == "partition":
                 b = p["branch"]
@@ -230,7 +230,7 @@ class StabilityCertificate:
             else:
                 raise MalformedCertificateError(f"unknown branch kind {kind!r}")
             return StabilityCertificate(
-                parse_str(p["procedure"]), int(p["n"]),
+                parse_typed(p["procedure"], str), parse_typed(p["n"], int),
                 DecompositionParams.from_payload(p["parameters"]),
                 Comparison.from_payload(p["hypothesis"]),
                 branch, tuple(p["trace"]))

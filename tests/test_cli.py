@@ -183,27 +183,36 @@ def test_ramsey_cert_and_verify(files, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("entry", ["a", 1.5, None, {}, True])
-@pytest.mark.parametrize("source", ["ramsey", "decompose"])
-def test_verify_rejects_non_integer_vertex(files, capsys, source, entry):
-    # a vertex entry that is not a JSON integer is a malformed certificate
+def _replace(node, path, value) -> None:
+    """Set the value at key path ``path`` below the JSON value ``node``."""
+    *parents, key = path
+    for step in parents:
+        node = node[step]
+    node[key] = value
+
+
+_MISTYPED = [(source, path, value) for value in ("a", 1.5, None, {}, True)
+             for source, path in (("ramsey", ("u1", 0)), ("decompose", ("branch", "part1", 0)))]
+_MISTYPED += [("ramsey", ("n",), 5.9), ("ramsey", ("checks", 0, "holds"), "false"),
+              ("decompose", ("branch", "checks", 0, "name"), ["x"])]
+
+
+@pytest.mark.parametrize("source, path, value", _MISTYPED)
+def test_verify_rejects_mistyped_field(files, capsys, source, path, value):
+    # a vertex entry that is not a JSON integer, or any other field of the
+    # wrong JSON type, is a malformed certificate
     if source == "ramsey":
-        flag, path = "--coloring", files["golden5"]
+        flag, graph = "--coloring", files["golden5"]
         argv = ["ramsey-cert", "--n", "5", "--beta", "2/5"]
-        vertices = ("u1",)
     else:
-        flag, path = "--graph", files["two13"]
+        flag, graph = "--graph", files["two13"]
         argv = ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]
-        vertices = ("branch", "part1")
-    code, out = _run(capsys, argv + [flag, str(path)])
+    code, out = _run(capsys, argv + [flag, str(graph)])
     report = json.loads(out)
-    node = report["result"]
-    for key in vertices:
-        node = node[key]
-    node[0] = entry
+    _replace(report["result"], path, value)
     cert_file = files["tmp"] / "mangled.json"
     cert_file.write_text(json.dumps(report))
-    code, out = _run(capsys, ["verify", flag, str(path), "--certificate", str(cert_file)])
+    code, out = _run(capsys, ["verify", flag, str(graph), "--certificate", str(cert_file)])
     assert code == 2
     assert json.loads(out)["error_kind"] == "MalformedCertificateError"
 
@@ -701,7 +710,6 @@ _VERIFY_SOURCES = {
     "two13.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
     "k7.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
 }
-_VALID_REPORTS: dict = {}
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=3),
     st.sampled_from([[], {}, [0], {"0": 0}]))
@@ -728,17 +736,11 @@ def _json_paths(node, prefix=()):
 
 
 def _mangled_report(capsys, tmp_path, name, index, value) -> bytes:
-    if name not in _VALID_REPORTS:
-        flag, argv = _VERIFY_SOURCES[name]
-        assert main(argv + [flag, str(tmp_path / name)]) == 0
-        _VALID_REPORTS[name] = capsys.readouterr().out
-    report = json.loads(_VALID_REPORTS[name])
+    flag, argv = _VERIFY_SOURCES[name]
+    assert main(argv + [flag, str(tmp_path / name)]) == 0
+    report = json.loads(capsys.readouterr().out)
     paths = list(_json_paths(report["result"]))
-    *parents, key = paths[index % len(paths)]
-    node = report["result"]
-    for step in parents:
-        node = node[step]
-    node[key] = value
+    _replace(report["result"], paths[index % len(paths)], value)
     return json.dumps(report).encode()
 
 
