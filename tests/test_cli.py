@@ -45,6 +45,8 @@ def files(tmp_path):
     paths["petersen"].write_text(to_graph6(petersen()) + "\n")
     paths["two13"] = tmp_path / "two13.edges"
     paths["two13"].write_text(to_edge_list(two_disjoint_cliques(13)))
+    paths["k7"] = tmp_path / "k7.edges"
+    paths["k7"].write_text(to_edge_list(complete(7)))
     u1, u2 = [1, 2, 3], [4, 5, 6, 7]
     red = list(combinations(u1, 2)) + list(combinations(u2, 2)) + [(0, v) for v in u1]
     blue = [(a, b) for a in u1 for b in u2] + [(0, v) for v in u2]
@@ -703,27 +705,19 @@ _ARGVS = st.one_of(
     .map(lambda nb: ["ramsey-cert", "--n", str(nb[0]), "--beta", nb[1], "--coloring"]))
 
 
-# the verify branch: fixed input files, each with the command whose valid
-# report it mangles by replacing one JSON value under "result"
+# the verify branch: a fixed input file of the ``files`` fixture, with the
+# command whose valid report it mangles by replacing one JSON value under
+# "result"
 _VERIFY_SOURCES = {
-    "k8.col": ("--coloring", ["ramsey-cert", "--n", "5", "--beta", "2/5"]),
-    "two13.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
-    "k7.edges": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+    "golden5": ("--coloring", ["ramsey-cert", "--n", "5", "--beta", "2/5"]),
+    "two13": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+    "k7": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
 }
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=3),
     st.sampled_from([[], {}, [0], {"0": 0}]))
 _VERIFY_CASES = st.tuples(st.sampled_from(sorted(_VERIFY_SOURCES)),
                           st.integers(0, 10**6), _JSON_VALUES)
-
-
-def _verify_inputs(tmp_path) -> None:
-    u1, u2 = [1, 2, 3], [4, 5, 6, 7]
-    red = list(combinations(u1, 2)) + list(combinations(u2, 2)) + [(0, v) for v in u1]
-    blue = [(a, b) for a in u1 for b in u2] + [(0, v) for v in u2]
-    (tmp_path / "k8.col").write_text(serialize_coloring(coloring_from_edges(8, red, blue)))
-    (tmp_path / "two13.edges").write_text(to_edge_list(two_disjoint_cliques(13)))
-    (tmp_path / "k7.edges").write_text(to_edge_list(complete(7)))
 
 
 def _json_paths(node, prefix=()):
@@ -735,30 +729,25 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-def _mangled_report(capsys, tmp_path, name, index, value) -> bytes:
-    flag, argv = _VERIFY_SOURCES[name]
-    assert main(argv + [flag, str(tmp_path / name)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    paths = list(_json_paths(report["result"]))
-    _replace(report["result"], paths[index % len(paths)], value)
-    return json.dumps(report).encode()
-
-
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.one_of(st.tuples(_INPUTS, _ARGVS), _VERIFY_CASES))
-def test_malformed_input_exit_contract(tmp_path, capsys, case):
+def test_malformed_input_exit_contract(files, capsys, case):
     # any input maps to a documented exit code and one schema-valid JSON
     # report; an uncaught exception would fail the call itself
-    path = tmp_path / "input"
+    path = files["tmp"] / "input"
     if isinstance(case[0], bytes):
         data, argv = case
     else:
         name, index, value = case
-        _verify_inputs(tmp_path)
-        data = _mangled_report(capsys, tmp_path, name, index, value)
-        flag = _VERIFY_SOURCES[name][0]
-        argv = ["verify", flag, str(tmp_path / name), "--certificate"]
+        flag, source_argv = _VERIFY_SOURCES[name]
+        argv = [flag, str(files[name])]
+        assert main(source_argv + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        paths = list(_json_paths(report["result"]))
+        _replace(report["result"], paths[index % len(paths)], value)
+        data = json.dumps(report).encode()
+        argv = ["verify"] + argv + ["--certificate"]
     path.write_bytes(data)
     code = main(argv + [str(path), "--timeout", "1"])
     captured = capsys.readouterr()
