@@ -31,7 +31,6 @@ from .cycles import cycle_of_length, spectrum_up_to
 from .errors import (
     HypothesisUnsatisfiableError,
     InternalContradictionError,
-    MalformedCertificateError,
     MonoCycleNotFoundError,
     ParameterError,
     PreconditionError,
@@ -51,13 +50,17 @@ from .graph import (
     mask_of,
 )
 from .reporting import (
+    CHECKS,
+    INT,
+    INTS,
+    RATIONAL,
+    STR,
     CheckReport,
     Comparison,
     NamedCheck,
+    Record,
+    array,
     frac_str,
-    parse_frac,
-    parse_ints,
-    parse_typed,
 )
 
 COLOR_NAMES = ("red", "blue")
@@ -96,7 +99,7 @@ def mono_even_cycle(col: TwoColoring, k: int, deadline=None) -> tuple[str, tuple
 
 
 @dataclass(frozen=True)
-class BicliqueExtraction:
+class BicliqueExtraction(Record):
     """Alternating halves of a Hamiltonian cycle plus the star center whose
     removal leaves a complete bipartite graph."""
 
@@ -106,14 +109,8 @@ class BicliqueExtraction:
     ham_cycle: tuple[int, ...]
     star_edges: tuple[tuple[int, int], ...]
 
-    def to_payload(self) -> dict:
-        return {
-            "u1": list(self.u1),
-            "u2": list(self.u2),
-            "u": self.u,
-            "ham_cycle": list(self.ham_cycle),
-            "star_edges": [list(e) for e in self.star_edges],
-        }
+    FIELDS = (("u1", "u1", INTS), ("u2", "u2", INTS), ("u", "u", INT),
+              ("ham_cycle", "ham_cycle", INTS), ("star_edges", "star_edges", array(INTS)))
 
 
 def extract_biclique_partition(g: Graph, deadline=None) -> BicliqueExtraction:
@@ -167,7 +164,7 @@ def _shared_vertex(edges: list[tuple[int, int]], message: str) -> int:
 
 
 @dataclass(frozen=True)
-class RamseyCertificate:
+class RamseyCertificate(Record):
     """Vertex u plus two classes: cliques in one color, a biclique in the
     other, for a coloring of K_{floor((2-beta)n)} without monochromatic C_n."""
 
@@ -180,29 +177,9 @@ class RamseyCertificate:
     clique_color: str  # which input color induces the two cliques
     checks: tuple[Comparison, ...]
 
-    def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "beta": frac_str(self.beta),
-            "p": self.p,
-            "u": self.u,
-            "u1": list(self.u1),
-            "u2": list(self.u2),
-            "clique_color": self.clique_color,
-            "checks": [c.to_payload() for c in self.checks],
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "RamseyCertificate":
-        try:
-            return RamseyCertificate(
-                parse_typed(payload["n"], int), parse_frac(payload["beta"]),
-                parse_typed(payload["p"], int), parse_typed(payload["u"], int),
-                parse_ints(payload["u1"]), parse_ints(payload["u2"]),
-                payload["clique_color"],
-                tuple(Comparison.from_payload(c) for c in payload["checks"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedCertificateError(f"bad certificate payload: {exc}") from exc
+    FIELDS = (("n", "n", INT), ("beta", "beta", RATIONAL), ("p", "p", INT),
+              ("u", "u", INT), ("u1", "u1", INTS), ("u2", "u2", INTS),
+              ("clique_color", "clique_color", STR), ("checks", "checks", CHECKS))
 
 
 def _expected_host_order(n: int, beta: Fraction) -> int:
@@ -599,8 +576,8 @@ def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, de
     file is replaced whole, so a crash leaves the last complete state, but
     at most once a second and once after the last shard: rewriting it after
     every shard would cost time quadratic in the shard count.  So after a
-    crash or a timeout, at most about one second of completed shards runs
-    again."""
+    crash, at most about one second of completed shards runs again; a
+    timeout writes every completed shard before it propagates."""
     import os
 
     m = p * (p - 1) // 2
@@ -628,18 +605,23 @@ def _checkpointed_shards(path, n: int, beta: Fraction, p: int, masks, ranges, de
     results = []
     written = monotonic()
     unwritten = False
-    for idx, (lo, hi) in enumerate(ranges):
-        last, mono, reds = state.get(idx, (lo - 1, 0, []))
-        if last + 1 < hi:
-            mono_s, reds_s = _kernel.sweep_filter_range(masks, m, last + 1, hi, deadline)
-            mono += mono_s
-            reds.extend(reds_s)
-            state[idx] = (hi - 1, mono, reds)
-            unwritten = True
-            if monotonic() - written >= 1:
-                write_state()
-                written, unwritten = monotonic(), False
-        results.append((mono, reds))
+    try:
+        for idx, (lo, hi) in enumerate(ranges):
+            last, mono, reds = state.get(idx, (lo - 1, 0, []))
+            if last + 1 < hi:
+                mono_s, reds_s = _kernel.sweep_filter_range(masks, m, last + 1, hi, deadline)
+                mono += mono_s
+                reds.extend(reds_s)
+                state[idx] = (hi - 1, mono, reds)
+                unwritten = True
+                if monotonic() - written >= 1:
+                    write_state()
+                    written, unwritten = monotonic(), False
+            results.append((mono, reds))
+    except SearchTimeout:
+        if unwritten:
+            write_state()
+        raise
     if unwritten:
         write_state()
     return results

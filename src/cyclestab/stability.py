@@ -49,14 +49,22 @@ from .graph import (
 )
 from .paths import hamiltonian_path_between
 from .reporting import (
+    BOOL,
+    CHECKS,
+    INT,
+    INTS,
+    OBJECT,
+    RATIONAL,
+    STR,
+    STRS,
+    WITNESSES,
     CheckReport,
     Comparison,
     NamedCheck,
+    Record,
     ceil_frac,
     frac_str,
-    parse_frac,
-    parse_ints,
-    parse_typed,
+    record,
     sqrt_bound_comparison,
 )
 
@@ -64,13 +72,17 @@ HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
-class DecompositionParams:
+class DecompositionParams(Record):
     """Procedure parameters; all rationals, compared exactly."""
 
     alpha: Fraction = Fraction(0)
     beta: Fraction = Fraction(0)
     gamma: Fraction = Fraction(0)
     enforce_paper_range: bool = False
+
+    FIELDS = (("alpha", "alpha", RATIONAL), ("beta", "beta", RATIONAL),
+              ("gamma", "gamma", RATIONAL),
+              ("enforce_paper_range", "enforce_paper_range", BOOL))
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -104,26 +116,9 @@ class DecompositionParams:
         if bad:
             raise ParameterError("; ".join(bad))
 
-    def to_payload(self) -> dict:
-        return {
-            "alpha": frac_str(self.alpha),
-            "beta": frac_str(self.beta),
-            "gamma": frac_str(self.gamma),
-            "enforce_paper_range": self.enforce_paper_range,
-        }
-
-    @staticmethod
-    def from_payload(p: dict) -> "DecompositionParams":
-        try:
-            return DecompositionParams(
-                parse_frac(p["alpha"]), parse_frac(p["beta"]), parse_frac(p["gamma"]),
-                parse_typed(p["enforce_paper_range"], bool))
-        except KeyError as exc:
-            raise MalformedCertificateError(f"parameters missing field {exc}") from exc
-
 
 @dataclass(frozen=True)
-class CycleBranch:
+class CycleBranch(Record):
     """Witnessed cycle conclusion: one long cycle, or a full range."""
 
     claim: str                      # "long-cycle" | "pancyclic-range"
@@ -132,19 +127,13 @@ class CycleBranch:
     witnesses: dict[int, tuple[int, ...]]
 
     kind = "cycle"
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "claim": self.claim,
-            "threshold": frac_str(self.threshold),
-            "required_lengths": list(self.required_lengths),
-            "witnesses": {str(t): list(w) for t, w in sorted(self.witnesses.items())},
-        }
+    FIELDS = (("claim", "claim", STR), ("threshold", "threshold", RATIONAL),
+              ("required_lengths", "required_lengths", INTS),
+              ("witnesses", "witnesses", WITNESSES))
 
 
 @dataclass(frozen=True)
-class PartitionBranch:
+class PartitionBranch(Record):
     """Removed set plus two sides, with the structure claim and checks."""
 
     removed: tuple[int, ...]
@@ -154,20 +143,13 @@ class PartitionBranch:
     checks: tuple[Comparison, ...]
 
     kind = "partition"
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "removed": list(self.removed),
-            "part1": list(self.part1),
-            "part2": list(self.part2),
-            "structure": self.structure,
-            "checks": [c.to_payload() for c in self.checks],
-        }
+    FIELDS = (("removed", "removed", INTS), ("part1", "part1", INTS),
+              ("part2", "part2", INTS), ("structure", "structure", STR),
+              ("checks", "checks", CHECKS))
 
 
 @dataclass(frozen=True)
-class StuckReport:
+class StuckReport(Record):
     """A required object for some step is missing on this instance; data, not a crash."""
 
     step: str
@@ -175,21 +157,15 @@ class StuckReport:
     partial: dict = field(default_factory=dict)
 
     kind = "stuck"
-
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "step": self.step,
-            "missing": self.missing,
-            "partial": self.partial,
-        }
+    FIELDS = (("step", "step", STR), ("missing", "missing", STR),
+              ("partial", "partial", OBJECT))
 
 
 Branch = Union[CycleBranch, PartitionBranch, StuckReport]
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(Record):
     procedure: str
     n: int
     params: DecompositionParams
@@ -197,45 +173,11 @@ class StabilityCertificate:
     branch: Branch
     trace: tuple[str, ...]
 
-    def to_payload(self) -> dict:
-        return {
-            "procedure": self.procedure,
-            "n": self.n,
-            "parameters": self.params.to_payload(),
-            "hypothesis": self.hypothesis.to_payload(),
-            "branch": self.branch.to_payload(),
-            "trace": list(self.trace),
-        }
-
-    @staticmethod
-    def from_payload(p: dict) -> "StabilityCertificate":
-        try:
-            kind = p["branch"]["kind"]
-            if kind == "cycle":
-                b = p["branch"]
-                branch: Branch = CycleBranch(
-                    b["claim"], parse_frac(b["threshold"]),
-                    parse_ints(b["required_lengths"]),
-                    {int(t): parse_ints(w) for t, w in b["witnesses"].items()})
-            elif kind == "partition":
-                b = p["branch"]
-                branch = PartitionBranch(
-                    parse_ints(b["removed"]), parse_ints(b["part1"]),
-                    parse_ints(b["part2"]),
-                    b["structure"],
-                    tuple(Comparison.from_payload(c) for c in b["checks"]))
-            elif kind == "stuck":
-                b = p["branch"]
-                branch = StuckReport(b["step"], b["missing"], dict(b["partial"]))
-            else:
-                raise MalformedCertificateError(f"unknown branch kind {kind!r}")
-            return StabilityCertificate(
-                parse_typed(p["procedure"], str), parse_typed(p["n"], int),
-                DecompositionParams.from_payload(p["parameters"]),
-                Comparison.from_payload(p["hypothesis"]),
-                branch, tuple(p["trace"]))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedCertificateError(f"bad certificate payload: {exc}") from exc
+    FIELDS = (("procedure", "procedure", STR), ("n", "n", INT),
+              ("parameters", "params", record(DecompositionParams)),
+              ("hypothesis", "hypothesis", record(Comparison)),
+              ("branch", "branch", record(CycleBranch, PartitionBranch, StuckReport)),
+              ("trace", "trace", STRS))
 
 
 # -- shared machinery ---------------------------------------------------

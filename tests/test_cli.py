@@ -29,6 +29,8 @@ from cyclestab.errors import (
 )
 from cyclestab.formats import to_edge_list, to_graph6
 from cyclestab.graph import build_graph
+from cyclestab.ramsey import RamseyCertificate
+from cyclestab.stability import StabilityCertificate
 
 from itertools import combinations
 
@@ -185,36 +187,61 @@ def test_ramsey_cert_and_verify(files, capsys):
     assert code == 0
 
 
-def _replace(node, path, value) -> None:
-    """Set the value at key path ``path`` below the JSON value ``node``."""
-    *parents, key = path
+def _mutate(node, path, value, action="replace", key=None) -> None:
+    """Below the JSON value ``node``, replace the value at key path
+    ``path``, delete it, rename its key to ``key`` or add ``key`` beside it.
+    In an array, "add" inserts ``value`` before it and "rename" replaces it."""
+    *parents, last = path
     for step in parents:
         node = node[step]
-    node[key] = value
+    if action == "delete":
+        del node[last]
+    elif action == "replace" or not isinstance(node, dict):
+        if action == "add":
+            node.insert(last, value)
+        else:
+            node[last] = value
+    elif action == "rename":
+        node[key] = node.pop(last)
+    else:
+        node[key] = value
 
 
+# the verify sources: a file of the ``files`` fixture, the flag that names
+# it and the command whose valid report is mangled
+_SOURCES = {
+    "ramsey": ("--coloring", "golden5", ["ramsey-cert", "--n", "5", "--beta", "2/5"]),
+    "decompose": ("--graph", "two13",
+                  ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+    "cycle": ("--graph", "k7", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
+}
 _MISTYPED = [(source, path, value) for value in ("a", 1.5, None, {}, True)
              for source, path in (("ramsey", ("u1", 0)), ("decompose", ("branch", "part1", 0)))]
 _MISTYPED += [("ramsey", ("n",), 5.9), ("ramsey", ("checks", 0, "holds"), "false"),
               ("decompose", ("branch", "checks", 0, "name"), ["x"])]
+# non-canonical spellings, unknown keys and the note's empty default
+_MISTYPED += [("cycle", ("branch", "witnesses"), {key: list(range(7))})
+              for key in (" 7", "+7", "07")]
+_MISTYPED += [("ramsey", ("beta",), beta) for beta in (" 2/5", "0.4", "4/10", 0.4, True)]
+_MISTYPED += [("ramsey", ("checks", 0, "lhs"), " 3/1"), ("ramsey", ("checks", 0, "note"), ""),
+              ("ramsey", ("clique_color",), 0), ("ramsey", ("extra",), 0),
+              ("cycle", ("branch", "claim"), 1), ("cycle", ("trace",), "abc"),
+              ("cycle", ("trace",), [1, None])]
 
 
 @pytest.mark.parametrize("source, path, value", _MISTYPED)
 def test_verify_rejects_mistyped_field(files, capsys, source, path, value):
-    # a vertex entry that is not a JSON integer, or any other field of the
-    # wrong JSON type, is a malformed certificate
-    if source == "ramsey":
-        flag, graph = "--coloring", files["golden5"]
-        argv = ["ramsey-cert", "--n", "5", "--beta", "2/5"]
-    else:
-        flag, graph = "--graph", files["two13"]
-        argv = ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]
-    code, out = _run(capsys, argv + [flag, str(graph)])
+    # a vertex entry that is not a JSON integer, any other field of the
+    # wrong JSON type, a non-canonical spelling or an unknown key is a
+    # malformed certificate
+    flag, name, argv = _SOURCES[source]
+    code, out = _run(capsys, argv + [flag, str(files[name])])
     report = json.loads(out)
-    _replace(report["result"], path, value)
+    _mutate(report["result"], path, value)
     cert_file = files["tmp"] / "mangled.json"
     cert_file.write_text(json.dumps(report))
-    code, out = _run(capsys, ["verify", flag, str(graph), "--certificate", str(cert_file)])
+    code, out = _run(capsys, ["verify", flag, str(files[name]),
+                              "--certificate", str(cert_file)])
     assert code == 2
     assert json.loads(out)["error_kind"] == "MalformedCertificateError"
 
@@ -705,19 +732,16 @@ _ARGVS = st.one_of(
     .map(lambda nb: ["ramsey-cert", "--n", str(nb[0]), "--beta", nb[1], "--coloring"]))
 
 
-# the verify branch: a fixed input file of the ``files`` fixture, with the
-# command whose valid report it mangles by replacing one JSON value under
-# "result"
-_VERIFY_SOURCES = {
-    "golden5": ("--coloring", ["ramsey-cert", "--n", "5", "--beta", "2/5"]),
-    "two13": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
-    "k7": ("--graph", ["decompose-thdc", "--alpha", "2/100", "--beta", "5/100"]),
-}
+# the verify branch mangles a valid report of one of the _SOURCES under
+# "result": it replaces or deletes one value, renames its key or adds a key
+# beside it
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=3),
     st.sampled_from([[], {}, [0], {"0": 0}]))
-_VERIFY_CASES = st.tuples(st.sampled_from(sorted(_VERIFY_SOURCES)),
-                          st.integers(0, 10**6), _JSON_VALUES)
+_KEYS = st.one_of(st.text(max_size=3), st.sampled_from(["kind", "note", "n", "7", "07"]))
+_VERIFY_CASES = st.tuples(
+    st.sampled_from(sorted(_SOURCES)), st.integers(0, 10**6),
+    st.sampled_from(["replace", "delete", "rename", "add"]), _KEYS, _JSON_VALUES)
 
 
 def _json_paths(node, prefix=()):
@@ -739,13 +763,13 @@ def test_malformed_input_exit_contract(files, capsys, case):
     if isinstance(case[0], bytes):
         data, argv = case
     else:
-        name, index, value = case
-        flag, source_argv = _VERIFY_SOURCES[name]
+        source, index, action, key, value = case
+        flag, name, source_argv = _SOURCES[source]
         argv = [flag, str(files[name])]
         assert main(source_argv + argv) == 0
         report = json.loads(capsys.readouterr().out)
         paths = list(_json_paths(report["result"]))
-        _replace(report["result"], paths[index % len(paths)], value)
+        _mutate(report["result"], paths[index % len(paths)], value, action, key)
         data = json.dumps(report).encode()
         argv = ["verify"] + argv + ["--certificate"]
     path.write_bytes(data)
@@ -755,3 +779,9 @@ def test_malformed_input_exit_contract(files, capsys, case):
     assert "Traceback" not in captured.out + captured.err
     report = json.loads(captured.out)
     assert [e.message for e in REPORT_SCHEMA.iter_errors(report)] == []
+    if argv[0] == "verify" and code in (0, 1):
+        # the reader accepted the mangled certificate, so it is canonical
+        result = json.loads(data)["result"]
+        cls = RamseyCertificate if source == "ramsey" else StabilityCertificate
+        again = cls.from_payload(result).to_payload()
+        assert json.dumps(again, sort_keys=True) == json.dumps(result, sort_keys=True)

@@ -420,6 +420,34 @@ def test_sweep_checkpoint_survives_a_failed_write(tmp_path, monkeypatch):
     assert again.to_payload() == first.to_payload()
 
 
+def test_sweep_checkpoint_written_on_timeout(tmp_path, monkeypatch):
+    # the shards completed before a timeout reach the file although the
+    # throttled writer has not written them yet
+    from cyclestab import _kernel
+
+    path = tmp_path / "progress.txt"
+    real_filter = _kernel.sweep_filter_range
+    calls = []
+
+    def timing_out(*args):
+        calls.append(args)
+        if len(calls) == 6:
+            raise SearchTimeout("sweep exceeded its deadline")
+        return real_filter(*args)
+
+    monkeypatch.setattr(_kernel, "sweep_filter_range", timing_out)
+    with pytest.raises(SearchTimeout):
+        ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=16,
+                     checkpoint=str(path), parallel=False)
+    monkeypatch.undo()
+    lines = path.read_text().splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+    resumed = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=16,
+                           checkpoint=str(path), parallel=False)
+    plain = ramsey_sweep(4, Fraction(1, 2), "exhaustive", shards=16, parallel=False)
+    assert resumed.to_payload() == plain.to_payload()
+
+
 def test_sweep_checkpoint_replaced_at_most_once_a_second(tmp_path, monkeypatch):
     # rewriting the whole file after each of S shards costs O(S^2); the
     # file is replaced at most once a second plus once after the last shard
@@ -497,6 +525,7 @@ def test_certificates_frozen_on_whole_k8_domain(beta, digest):
         cert = ramsey_certificate(col, 5, beta)
         report = verify_ramsey_certificate(col, cert)
         assert report.passed, (red, report.failing())
+        assert RamseyCertificate.from_payload(cert.to_payload()) == cert
         rows.append([cert.to_payload(), report.to_payload()])
     assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == digest
 

@@ -1,6 +1,7 @@
 """Every report kind the CLI prints conforms to schema/report.schema.json."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -8,10 +9,17 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from cyclestab.cli import _COMMANDS, main
-from cyclestab.coloring import coloring_from_edges, serialize_coloring
+from cyclestab.coloring import coloring_from_edges, parse_coloring, serialize_coloring
+from cyclestab.errors import MalformedCertificateError
 from cyclestab.formats import to_edge_list, to_graph6
+from cyclestab.ramsey import RamseyCertificate, ramsey_certificate
+from cyclestab.stability import (
+    DecompositionParams,
+    StabilityCertificate,
+    decompose_two_parts,
+)
 
-from conftest import complete_bipartite, petersen, two_disjoint_cliques
+from conftest import complete, complete_bipartite, petersen, two_disjoint_cliques
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "schema" / "report.schema.json").read_text())
@@ -119,3 +127,31 @@ def test_verify_report_conforms(inputs, capsys):
         cert = inputs["tmp"] / "cert.json"
         cert.write_text(json.dumps(report))
         _assert_valid(_report(capsys, ["verify", "--certificate", str(cert), *target], 0))
+
+
+# spellings the certificate reader rejects: rationals that are not
+# frac_str's "num/den" in lowest terms, witness keys that are not the decimal
+# cycle length
+_SPELLINGS = [("rational", v) for v in (" 2/5", "+2/5", "02/5", "0.4", "2/-5", "-0/1",
+                                       "4/10")]
+_SPELLINGS += [("witness-key", v) for v in (" 7", "+7", "07", "0")]
+
+
+@pytest.mark.parametrize("where, spelling", _SPELLINGS)
+def test_schema_rejects_what_the_reader_rejects(inputs, where, spelling):
+    # the schema's patterns match the reader's, except that lowest terms are
+    # beyond a pattern: "4/10" is rejected by the reader alone
+    if where == "rational":
+        coloring = parse_coloring(inputs["golden5"].read_text())
+        cls, ref = RamseyCertificate, "ramsey_certificate"
+        payload = ramsey_certificate(coloring, 5, Fraction(2, 5)).to_payload()
+        payload["beta"] = spelling
+    else:
+        cls, ref = StabilityCertificate, "stability_certificate"
+        payload = decompose_two_parts(complete(7), DecompositionParams(
+            alpha=Fraction(2, 100), beta=Fraction(5, 100))).to_payload()
+        payload["branch"]["witnesses"] = {spelling: payload["branch"]["witnesses"]["7"]}
+    with pytest.raises(MalformedCertificateError):
+        cls.from_payload(payload)
+    schema_errors = list(_validator(ref).iter_errors(payload))
+    assert (schema_errors == []) == (spelling == "4/10")

@@ -1,9 +1,11 @@
 """Stability procedures: peels, golden traces, verification, negatives."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from cyclestab.errors import (
@@ -337,3 +339,34 @@ def test_payload_round_trip():
     again = StabilityCertificate.from_payload(cert.to_payload())
     assert canonical_json(again.to_payload()) == canonical_json(cert.to_payload())
     assert verify_stability_certificate(g, again).passed
+
+
+def test_certificates_frozen_on_graph_atlas():
+    # networkx's atlas holds every graph on 1 to 7 vertices; the three
+    # procedures reach all three branch kinds on it.  The digest covers each
+    # (certificate, verifier report) pair, null for a stuck outcome, which
+    # carries no verifiable certificate.
+    runs = [
+        lambda g: decompose_two_parts(g, DecompositionParams(
+            alpha=Fraction(2, 100), beta=Fraction(5, 100))),
+        lambda g: decompose_vertex_split(g, Fraction(3, 10)),
+        lambda g: decompose_three_parts(g, DecompositionParams(
+            alpha=Fraction(4, 100), beta=Fraction(5, 100))),
+    ]
+    rows, kinds, steps = [], set(), set()
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = build_graph(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        for run in runs:
+            cert = run(g)
+            payload = cert.to_payload()
+            assert StabilityCertificate.from_payload(payload) == cert
+            kinds.add(cert.branch.kind)
+            if cert.branch.kind == "stuck":
+                steps.add(cert.branch.step)
+                rows.append([payload, None])
+            else:
+                rows.append([payload, verify_stability_certificate(g, cert).to_payload()])
+    assert len(rows) == 3 * 1252
+    assert kinds == {"cycle", "partition", "stuck"} and len(steps) == 11
+    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == (
+        "910c89a1a77860f94d3719f88f85e6ca345297674c9e47aa28b43d9fae47504a")
