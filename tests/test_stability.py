@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -370,3 +371,183 @@ def test_certificates_frozen_on_graph_atlas():
     assert kinds == {"cycle", "partition", "stuck"} and len(steps) == 11
     assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == (
         "910c89a1a77860f94d3719f88f85e6ca345297674c9e47aa28b43d9fae47504a")
+
+
+# -- every route of the three procedures ---------------------------------------
+
+def _cliques(*ranges, extra=()):
+    edges = [e for r in ranges for e in itertools.combinations(r, 2)]
+    return edges + list(extra)
+
+
+def _separator_in_part():
+    # vertex 0 sees all of a 16-vertex side built from two matched K8s, and
+    # vertex 1 bridges to a K16: the inner split keeps 0 alone as part1,
+    # and 0 is also the lowest vertex on the one cross path
+    side = [(0, v) for v in range(1, 17)] + [(v, v + 8) for v in range(1, 9)]
+    return build_graph(33, _cliques(range(1, 9), range(9, 17), range(17, 33),
+                                    extra=side + [(1, 17)]))
+
+
+def _three_components():
+    # vertices 0 and 1 are held above the peel only by the 19 peeled
+    # vertices, so the remainder is two single vertices and a K21
+    held = [(u, m) for u in (0, 1) for m in range(2, 21)]
+    return build_graph(42, _cliques(range(21, 42), extra=held))
+
+
+def _remainder_by_sign():
+    # K_{7,8} on 16..30, not hamiltonian, closed by the path 0..15 between
+    # two vertices of its larger side: the 9n/40 peel leaves the K_{7,8},
+    # and the longest cycle, 31, is more than twice its order
+    path = [23, *range(16), 24]
+    return build_graph(31, [(a, b) for a in range(16, 23) for b in range(23, 31)]
+                       + list(zip(path, path[1:])))
+
+
+def _majority_remainder(w, a, b):
+    # w isolated vertices, the first the majority peel selects, then K_a and
+    # K_b sharing vertex w: the remainder has (a - b)^2 / 4 - 1/4 edges more
+    # than a quarter square, yet no cycle longer than a
+    return build_graph(w + a + b - 1, _cliques(range(w, w + a),
+                                               [w, *range(w + a, w + a + b - 1)]))
+
+
+def _two_parts(alpha, beta=0):
+    return lambda g: decompose_two_parts(g, DecompositionParams(
+        alpha=Fraction(alpha), beta=Fraction(beta)))
+
+
+def _three_parts(alpha, beta=0):
+    return lambda g: decompose_three_parts(g, DecompositionParams(
+        alpha=Fraction(alpha), beta=Fraction(beta)))
+
+
+def _vertex_split(gamma):
+    return lambda g: decompose_vertex_split(g, Fraction(gamma))
+
+
+# name -> (graph, procedure run, the route: procedure, branch kind and the
+# branch's step, claim or structure)
+ROUTE_CASES = {
+    "two-parts-long-cycle": (
+        lambda: complete(10), _two_parts("1/50"),
+        ("two-parts", "cycle", "long-cycle")),
+    "two-parts-first-peel": (
+        lambda: build_graph(3, []), _two_parts("1/50"),
+        ("two-parts", "stuck", "first-peel")),
+    "two-parts-two-connected": (
+        lambda: complete_bipartite(3, 10), _two_parts("1/100"),
+        ("two-parts", "stuck", "two-connected-remainder")),
+    "two-parts-remainder-by-sign": (
+        _remainder_by_sign, _two_parts(1),
+        ("two-parts", "stuck", "two-connected-remainder")),
+    "two-parts-small-component": (
+        lambda: shared_cliques(5, 3), _two_parts("1/2"),
+        ("two-parts", "stuck", "small-component")),
+    "two-parts-second-peel": (
+        lambda: build_graph(8, [(i, (i + 1) % 4) for i in range(4)]
+                            + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]),
+        _two_parts("1/100"),
+        ("two-parts", "stuck", "second-peel")),
+    "two-parts-split": (
+        lambda: two_disjoint_cliques(13), _two_parts("1/50", "1/20"),
+        ("two-parts", "partition", "split")),
+    "vertex-split-pancyclic": (
+        lambda: complete(10), _vertex_split("1/100"),
+        ("vertex-split", "cycle", "pancyclic-range")),
+    "vertex-split-top-above-order": (
+        lambda: complete(5), _vertex_split("3/5"),
+        ("vertex-split", "stuck", "two-parts:two-connected-remainder")),
+    "vertex-split-inner-long-cycle": (
+        lambda: cycle_graph(12), _vertex_split("1/100"),
+        ("vertex-split", "stuck", "inner-long-cycle")),
+    "vertex-split-two-cross-paths": (
+        lambda: build_graph(42, _cliques(range(20), range(20, 40), extra=[
+            (40, 0), (40, 20), (41, 1), (41, 21)])),
+        _vertex_split("3/5"),
+        ("vertex-split", "stuck", "single-separator")),
+    "vertex-split-separator-in-part": (
+        _separator_in_part, _vertex_split("1/10"),
+        ("vertex-split", "stuck", "vertex-split-parts")),
+    "vertex-split-no-cross-path": (
+        lambda: two_disjoint_cliques(20), _vertex_split("3/5"),
+        ("vertex-split", "partition", "split")),
+    "vertex-split-one-cross-path": (
+        lambda: build_graph(31, _cliques(range(15), range(15, 30),
+                                         extra=[(30, 0), (30, 15)])),
+        _vertex_split("1/100"),
+        ("vertex-split", "partition", "split")),
+    "three-parts-majority-pancyclic": (
+        lambda: build_graph(26, _cliques(range(20),
+                                         extra=[(0, 20 + i) for i in range(6)])),
+        _three_parts("1/1000", "1/10000"),
+        ("three-parts", "cycle", "pancyclic-range")),
+    "three-parts-majority-density": (
+        lambda: build_graph(54, list(shared_cliques(27, 25).edges())
+                            + [(1, 51 + i) for i in range(3)]),
+        _three_parts("1/50", "1/1000"),
+        ("three-parts", "stuck", "peel-majority-density")),
+    "three-parts-majority-extension": (
+        lambda: build_graph(14, _cliques(range(2, 8), range(7, 14),
+                                         extra=[(0, 2), (1, 3)])),
+        _three_parts("1/1000", "3/500"),
+        ("three-parts", "stuck", "peel-majority-extension")),
+    "three-parts-majority-inner-stuck": (
+        lambda: _majority_remainder(4, 12, 10), _three_parts("9/250", "1/199"),
+        ("three-parts", "stuck", "two-parts:second-peel")),
+    "three-parts-majority-inner-split": (
+        lambda: _majority_remainder(3, 27, 25), _three_parts("3/200", "1/500"),
+        ("three-parts", "partition", "split")),
+    "three-parts-peel": (
+        lambda: build_graph(4, []), _three_parts(0, 1),
+        ("three-parts", "stuck", "peel")),
+    "three-parts-bipartite": (
+        lambda: complete_bipartite(13, 13), _three_parts("1/25", "1/100"),
+        ("three-parts", "partition", "bipartite")),
+    "three-parts-three-components": (
+        _three_components, _three_parts("1/40"),
+        ("three-parts", "stuck", "low-connectivity-split")),
+    "three-parts-large-side": (
+        lambda: build_graph(41, _cliques(range(21), range(21, 41))),
+        _three_parts(Fraction(1, 10 ** 9)),
+        ("three-parts", "cycle", "pancyclic-range")),
+    "three-parts-low-connectivity": (
+        lambda: two_disjoint_cliques(13, bridge=True), _three_parts("1/25", "1/20"),
+        ("three-parts", "partition", "split")),
+    "three-parts-dense-remainder": (
+        lambda: complete(26), _three_parts("1/25"),
+        ("three-parts", "cycle", "pancyclic-range")),
+    "three-parts-top-above-order": (
+        lambda: complete(5), _three_parts(1),
+        ("three-parts", "stuck", "dense-remainder-pancyclicity")),
+}
+
+
+def test_decomposition_routes_frozen():
+    # constructed inputs, one per route through the three procedures,
+    # including those the graph atlas never reaches (the majority peel's
+    # extension and inner two-parts run, the large-side gate, the two
+    # vertex-split stucks, a top above the order); the digest covers each
+    # (certificate, verifier report) pair, null for a stuck outcome
+    rows, routes = [], {}
+    for name, (make, run, _) in ROUTE_CASES.items():
+        g = make()
+        cert = run(g)
+        kind = cert.branch.kind
+        detail = {"stuck": "step", "cycle": "claim", "partition": "structure"}[kind]
+        routes[name] = (cert.procedure, kind, getattr(cert.branch, detail))
+        report = None if kind == "stuck" else verify_stability_certificate(g, cert)
+        assert report is None or report.passed, (name, report.failing())
+        rows.append([name, cert.to_payload(), report and report.to_payload()])
+    assert routes == {name: case[2] for name, case in ROUTE_CASES.items()}
+    payloads = {row[0]: row[1] for row in rows}
+    assert "required top 6 exceeds the order, cycle branch impossible" in \
+        payloads["vertex-split-top-above-order"]["trace"]
+    assert "large-side gate holds" in payloads["three-parts-large-side"]["trace"]
+    assert "parts disconnected in the whole graph, separator defaults to vertex 0" in \
+        payloads["vertex-split-no-cross-path"]["trace"]
+    corollary = payloads["two-parts-remainder-by-sign"]["branch"]["partial"]
+    assert corollary["corollary_check"]["note"].endswith("holds by sign")
+    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == (
+        "4c48eb7353f4df14061eaba393fc035c71979a4fd4db516b050acc739c5a4e1c")
