@@ -39,7 +39,6 @@ from .stability import (
     decompose_three_parts,
     decompose_two_parts,
     decompose_vertex_split,
-    peel_low_degree,
     verify_stability_certificate,
 )
 from .ramsey import (

@@ -1,12 +1,20 @@
 """Stability decompositions with machine-checkable certificates.
 
-Three procedures share the same skeleton: either a long-cycle / pancyclic
-branch is witnessed exactly, or low-degree vertices are peeled and a small
-cut splits the remainder into two dense sides, certified by named
-exact-arithmetic inequality checks.  When a step's required object does not
-exist on a given instance (possible well below the asymptotic regime the
-constants were designed for), the outcome is a first-class "stuck" report
-naming the step, the missing object, and the partial state.
+Each of the three procedures (two-parts, vertex-split, three-parts) ends in
+one of three branches: a long cycle or a full range of cycle lengths,
+witnessed exactly; a partition into removed vertices and two sides,
+certified by named exact-arithmetic inequality checks; or, when a step's
+required object does not exist on a given instance (possible well below the
+asymptotic regime the constants were designed for), a first-class "stuck"
+report naming the step, the missing object, and the partial state.
+
+The procedures share their prologue and their tails: ``_start`` (range
+gate, density hypothesis, first trace line, and ``done``, which finishes
+the certificate), ``_pancyclic_range`` (a witness for every length in
+[3, top], or the missing lengths), ``_partition`` (a partition branch with
+its table's checks) and ``_inner_two_parts`` (the two-parts run inside
+vertex-split and three-parts' majority peel, its trace and stuck steps
+prefixed ``two-parts:``).
 
 Certificates refer to host vertex ids and are reproducible byte for byte.
 
@@ -198,12 +206,6 @@ def low_degree_mask(g: Graph, num: int, den: int, within: Optional[int] = None,
     return out
 
 
-def peel_low_degree(g: Graph, num: int, den: int) -> tuple[int, Graph]:
-    """Single-pass peel: the low-degree vertex set and the induced remainder."""
-    mask = low_degree_mask(g, num, den)
-    return mask, induced(g, g.full_mask() & ~mask)
-
-
 def _edges_within(g: Graph, mask: int) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
@@ -305,11 +307,18 @@ def vertex_disjoint_cross_paths(g: Graph, a_mask: int, b_mask: int,
     return paths
 
 
-def _pancyclic_witnesses(g: Graph, top: int, deadline=None):
-    """(witness dict over [3, top] in local ids, missing lengths)."""
+def _pancyclic_range(g: Graph, threshold: Fraction,
+                     deadline=None) -> tuple[Optional[CycleBranch], list[int]]:
+    """A ``pancyclic-range`` branch witnessing every length in [3, top],
+    top = ceil(threshold), or None; and the lengths of that range with no
+    cycle in ``g``, those above the order included."""
+    top = ceil_frac(threshold)
     found = spectrum_up_to(g, top, deadline)
     missing = [t for t in range(3, top + 1) if t not in found]
-    return found, missing
+    if missing or top > g.n:
+        return None, missing
+    return CycleBranch("pancyclic-range", threshold, tuple(range(3, top + 1)),
+                       {t: g.host_ids(w) for t, w in found.items()}), missing
 
 
 # -- the bounds, each written once ----------------------------------------
@@ -420,15 +429,55 @@ def _partition_checks(procedure: str, g: Graph, params: DecompositionParams,
     return tuple(checks)
 
 
-def _start(procedure: str, g: Graph,
-           params: DecompositionParams) -> tuple[Comparison, list[str]]:
-    """Paper-range gate, density hypothesis and the first trace line."""
+def _start(procedure: str, g: Graph, params: DecompositionParams):
+    """Paper-range gate, density hypothesis and the first trace line.
+    Returns the hypothesis, the trace, and ``done``, which finishes the
+    certificate with a branch and the trace as it then stands."""
     params.validate_range(procedure, g.n)
     hyp = _hypothesis(procedure, g, params)
     if params.enforce_paper_range and not hyp.holds:
         raise HypothesisViolatedError(f"edge density below {_DENSITY[procedure][2]}")
-    return hyp, [f"order {g.n}, edges {g.edge_count()}, "
-                 f"density hypothesis {'holds' if hyp.holds else 'violated'}"]
+    trace = [f"order {g.n}, edges {g.edge_count()}, "
+             f"density hypothesis {'holds' if hyp.holds else 'violated'}"]
+
+    def done(branch: Branch) -> StabilityCertificate:
+        return StabilityCertificate(procedure, g.n, params, hyp, branch, tuple(trace))
+
+    return hyp, trace, done
+
+
+def _partition(procedure: str, g: Graph, params: DecompositionParams,
+               removed: int, part1: int, part2: int, structure: str = "split",
+               gate: bool = False) -> PartitionBranch:
+    """The partition branch on local masks, with the table's checks."""
+    return PartitionBranch(
+        *(tuple(_set_payload(g, s)) for s in (removed, part1, part2)), structure,
+        _partition_checks(procedure, g, params, removed, part1, part2, gate))
+
+
+def _inner_two_parts(g: Graph, sub: Graph, params: DecompositionParams,
+                     trace: list[str], dense: bool, where: str, deadline=None):
+    """Two-parts on ``sub`` (``g`` or an induced subgraph of it), its trace
+    appended to ``trace`` under a ``two-parts: `` prefix.  Returns a stuck
+    outcome, its step prefixed ``two-parts:``, or the partition's (removed,
+    part1, part2) as masks of ``g``.  A long cycle is a contradiction when
+    the caller has a length missing in a ``dense`` graph (``where`` names
+    it), and otherwise a stuck outcome."""
+    inner = decompose_two_parts(sub, params, deadline)
+    trace.extend("two-parts: " + line for line in inner.trace)
+    branch = inner.branch
+    if isinstance(branch, CycleBranch):
+        if dense:
+            raise InternalContradictionError(
+                "long cycle at threshold although a required length is missing "
+                f"in {where}")
+        return StuckReport(
+            "inner-long-cycle",
+            "a conclusion branch applicable below the density hypothesis",
+            {"inner": branch.to_payload()})
+    if isinstance(branch, StuckReport):
+        return StuckReport("two-parts:" + branch.step, branch.missing, branch.partial)
+    return tuple(_label_mask(g, s) for s in (branch.removed, branch.part1, branch.part2))
 
 
 # -- two-parts procedure ------------------------------------------------
@@ -439,11 +488,7 @@ def decompose_two_parts(g: Graph, params: DecompositionParams,
     """Long cycle of length >= (1/2 + alpha) n, or a certified split into
     two dense components after removing M = M0 + K + M2."""
     n = g.n
-    hyp, trace = _start("two-parts", g, params)
-
-    def done(branch: Branch) -> StabilityCertificate:
-        return StabilityCertificate("two-parts", n, params, hyp, branch, tuple(trace))
-
+    _, trace, done = _start("two-parts", g, params)
     threshold = _threshold("two-parts", params, n)
     c, cyc = longest_cycle(g, deadline)
     trace.append(f"longest cycle {c}, long-cycle threshold {frac_str(threshold)}")
@@ -516,11 +561,7 @@ def decompose_two_parts(g: Graph, params: DecompositionParams,
             {"peeled": _set_payload(g, m2),
              "part_sizes": [g1m.bit_count(), g2m.bit_count()]}))
     g1m, g2m = _sorted_parts(g, g1m, g2m)
-    removed = m0 | k_set | m2
-    return done(PartitionBranch(
-        tuple(_set_payload(g, removed)), tuple(_set_payload(g, g1m)),
-        tuple(_set_payload(g, g2m)), "split",
-        _partition_checks("two-parts", g, params, removed, g1m, g2m)))
+    return done(_partition("two-parts", g, params, m0 | k_set | m2, g1m, g2m))
 
 
 # -- vertex-split procedure ----------------------------------------------
@@ -534,44 +575,23 @@ def decompose_vertex_split(g: Graph, gamma, enforce_paper_range: bool = False,
     params = DecompositionParams(alpha=gamma, beta=Fraction(0), gamma=gamma,
                                  enforce_paper_range=enforce_paper_range)
     n = g.n
-    hyp, trace = _start("vertex-split", g, params)
-
-    def done(branch: Branch) -> StabilityCertificate:
-        return StabilityCertificate("vertex-split", n, params, hyp, branch,
-                                    tuple(trace))
-
+    hyp, trace, done = _start("vertex-split", g, params)
     threshold = _threshold("vertex-split", params, n)
     top = ceil_frac(threshold)
     if top <= n:
-        witnesses, missing = _pancyclic_witnesses(g, top, deadline)
+        branch, missing = _pancyclic_range(g, threshold, deadline)
         trace.append(f"pancyclicity check up to {top}: "
                      f"{'complete' if not missing else f'missing {missing}'}")
-        if not missing:
-            return done(CycleBranch(
-                "pancyclic-range", threshold, tuple(range(3, top + 1)),
-                {t: g.host_ids(w) for t, w in witnesses.items()}))
+        if branch:
+            return done(branch)
     else:
         trace.append(f"required top {top} exceeds the order, cycle branch impossible")
 
-    inner = decompose_two_parts(g, DecompositionParams(alpha=gamma), deadline)
-    trace.extend("two-parts: " + line for line in inner.trace)
-
-    if isinstance(inner.branch, CycleBranch):
-        if hyp.holds:
-            raise InternalContradictionError(
-                "long cycle at threshold although a required length is missing "
-                "in a graph denser than n^2/4")
-        return done(StuckReport(
-            "inner-long-cycle",
-            "a conclusion branch applicable below the density hypothesis",
-            {"inner": inner.branch.to_payload()}))
-    if isinstance(inner.branch, StuckReport):
-        return done(StuckReport("two-parts:" + inner.branch.step,
-                                inner.branch.missing, inner.branch.partial))
-
-    part1 = _label_mask(g, inner.branch.part1)
-    part2 = _label_mask(g, inner.branch.part2)
-    removed_inner = _label_mask(g, inner.branch.removed)
+    inner = _inner_two_parts(g, g, DecompositionParams(alpha=gamma), trace,
+                             hyp.holds, "a graph denser than n^2/4", deadline)
+    if isinstance(inner, StuckReport):
+        return done(inner)
+    removed_inner, part1, part2 = inner
     cross = vertex_disjoint_cross_paths(g, part1, part2, limit=2)
     trace.append(f"disjoint cross paths found: {len(cross)}")
 
@@ -632,9 +652,7 @@ def decompose_vertex_split(g: Graph, gamma, enforce_paper_range: bool = False,
             {"separator": g.label_of(sep),
              "side_sizes": [h1.bit_count(), h2.bit_count()]}))
     h1, h2 = _sorted_parts(g, h1, h2)
-    return done(PartitionBranch(
-        (g.label_of(sep),), tuple(_set_payload(g, h1)), tuple(_set_payload(g, h2)),
-        "split", _partition_checks("vertex-split", g, params, sep_bit, h1, h2)))
+    return done(_partition("vertex-split", g, params, sep_bit, h1, h2))
 
 
 def _cross_paths_avoiding(g: Graph, a_mask: int, b_mask: int, avoid: int):
@@ -653,12 +671,7 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
     V0 + V1 + V2 where the remainder is split or complete bipartite."""
     n = g.n
     alpha, beta = params.alpha, params.beta
-    hyp, trace = _start("three-parts", g, params)
-
-    def done(branch: Branch) -> StabilityCertificate:
-        return StabilityCertificate("three-parts", n, params, hyp, branch,
-                                    tuple(trace))
-
+    _, trace, done = _start("three-parts", g, params)
     threshold = _threshold("three-parts", params, n)
     top = ceil_frac(threshold)
     full = g.full_mask()
@@ -668,14 +681,9 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
                  f"small-peel gate {'holds' if gate.holds else 'fails'}")
 
     if not gate.holds:
+        # |M| >= 20 (alpha + 2 beta) n >= 24 beta n, so M holds want vertices
         want = ceil_frac(24 * beta * n)
-        m_verts = sorted(bits(m))
-        if want > len(m_verts):
-            return done(StuckReport(
-                "peel-majority-selection",
-                f"a subset of {want} peeled vertices (only {len(m_verts)} exist)",
-                {"peeled": _set_payload(g, m)}))
-        m0 = mask_of(m_verts[:want])
+        m0 = mask_of(sorted(bits(m))[:want])
         keep = full & ~m0
         n1 = keep.bit_count()
         e1 = _edges_within(g, keep)
@@ -691,39 +699,30 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
         sub = induced(g, keep)
         inner_params = DecompositionParams(alpha=2 * alpha)
         top2 = ceil_frac(_threshold("two-parts", inner_params, n1))
-        wit2, missing2 = _pancyclic_witnesses(sub, min(top2, sub.n), deadline)
-        if not missing2 and top2 <= sub.n:
-            witnesses = {t: sub.host_ids(w) for t, w in wit2.items()}
-            ok = True
-            for t in range(min(top2, sub.n) + 1, top + 1):
-                w = cycle_of_length(g, t, deadline) if t <= g.n else None
+        witnesses = spectrum_up_to(sub, top2, deadline)
+        if all(t in witnesses for t in range(3, top2 + 1)):
+            # the remainder is pancyclic up to top2 <= n1; extend in the whole graph
+            witnesses = {t: sub.host_ids(w) for t, w in witnesses.items() if t <= top}
+            for t in range(top2 + 1, top + 1):
+                w = cycle_of_length(g, t, deadline) if t <= n else None
                 if w is None:
-                    ok = False
                     break
                 witnesses[t] = g.host_ids(w)
-            if ok and top >= 3:
+            if top >= 3 and len(witnesses) == top - 2:
                 trace.append(f"remainder pancyclic up to {top2}, conclusion verified")
-                return done(CycleBranch(
-                    "pancyclic-range", threshold, tuple(range(3, top + 1)),
-                    {t: w for t, w in witnesses.items() if 3 <= t <= top}))
+                return done(CycleBranch("pancyclic-range", threshold,
+                                        tuple(range(3, top + 1)), witnesses))
             return done(StuckReport(
                 "peel-majority-extension",
                 f"cycles of every length up to {top} in the whole graph",
-                {"verified_up_to": min(top2, sub.n)}))
-        inner = decompose_two_parts(sub, inner_params, deadline)
-        trace.extend("two-parts: " + line for line in inner.trace)
-        if isinstance(inner.branch, CycleBranch):
-            raise InternalContradictionError(
-                "long cycle at threshold although a required length is missing "
-                "in a remainder denser than a quarter square")
-        if isinstance(inner.branch, StuckReport):
-            return done(StuckReport("two-parts:" + inner.branch.step,
-                                    inner.branch.missing, inner.branch.partial))
-        v0 = sorted(set(_set_payload(g, m0)) | set(inner.branch.removed))
-        part1, part2 = inner.branch.part1, inner.branch.part2
-        checks = _partition_checks("three-parts", g, params, _label_mask(g, v0),
-                                   _label_mask(g, part1), _label_mask(g, part2))
-        return done(PartitionBranch(tuple(v0), part1, part2, "split", checks))
+                {"verified_up_to": top2}))
+        inner = _inner_two_parts(g, sub, inner_params, trace, True,
+                                 "a remainder denser than a quarter square", deadline)
+        if isinstance(inner, StuckReport):
+            return done(inner)
+        removed_inner, part1, part2 = inner
+        return done(_partition("three-parts", g, params, m0 | removed_inner,
+                               part1, part2))
 
     g0 = full & ~m
     if not g0:
@@ -732,12 +731,8 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
 
     bip = bipartition(g, within=g0)
     if bip is not None:
-        v1, v2 = bip
         trace.append("remainder bipartite, complete-bipartite structure claimed")
-        checks = _partition_checks("three-parts", g, params, m, v1, v2)
-        return done(PartitionBranch(
-            tuple(_set_payload(g, m)), tuple(_set_payload(g, v1)),
-            tuple(_set_payload(g, v2)), "bipartite", checks))
+        return done(_partition("three-parts", g, params, m, *bip, "bipartite"))
 
     comps = components(g, within=g0)
     arts = cut_vertices(g, within=g0) if len(comps) == 1 else 0
@@ -754,32 +749,20 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
             return done(StuckReport(
                 "low-connectivity-split", "exactly two components after the cut",
                 {"component_sizes": [c.bit_count() for c in comps]}))
-        v1, v2 = _sorted_parts(g, comps[0], comps[1])
-        v0 = m | k_set
-        checks = _partition_checks("three-parts", g, params, v0, v1, v2, gate=True)
-        gate2 = checks[-1]
+        split = _partition("three-parts", g, params, m | k_set,
+                           *_sorted_parts(g, comps[0], comps[1]), gate=True)
+        gate2 = split.checks[-1]
         trace.append(f"large-side gate {'holds' if gate2.holds else 'fails'}")
-        if gate2.holds:
-            witnesses, missing = _pancyclic_witnesses(g, top, deadline)
-            if not missing and top <= n:
-                return done(CycleBranch(
-                    "pancyclic-range", threshold, tuple(range(3, top + 1)),
-                    {t: g.host_ids(w) for t, w in witnesses.items()}))
-            return done(StuckReport(
-                "large-side-pancyclicity",
-                f"cycles of every length up to {top}",
-                {"missing": missing, "gate": gate2.to_payload()}))
-        return done(PartitionBranch(
-            tuple(_set_payload(g, v0)), tuple(_set_payload(g, v1)),
-            tuple(_set_payload(g, v2)), "split", checks))
+        if not gate2.holds:
+            return done(split)
+        branch, missing = _pancyclic_range(g, threshold, deadline)
+        return done(branch or StuckReport(
+            "large-side-pancyclicity", f"cycles of every length up to {top}",
+            {"missing": missing, "gate": gate2.to_payload()}))
 
     trace.append("remainder two-connected and nonbipartite, cycle branch claimed")
-    witnesses, missing = _pancyclic_witnesses(g, top, deadline)
-    if not missing and top <= n:
-        return done(CycleBranch(
-            "pancyclic-range", threshold, tuple(range(3, top + 1)),
-            {t: g.host_ids(w) for t, w in witnesses.items()}))
-    return done(StuckReport(
+    branch, missing = _pancyclic_range(g, threshold, deadline)
+    return done(branch or StuckReport(
         "dense-remainder-pancyclicity", f"cycles of every length up to {top}",
         {"missing": missing}))
 

@@ -14,7 +14,7 @@ from cyclestab.errors import (
     MalformedCertificateError,
     ParameterError,
 )
-from cyclestab.graph import build_graph, mask_of
+from cyclestab.graph import build_graph, induced, mask_of
 from cyclestab.reporting import Comparison, canonical_json
 from cyclestab.stability import (
     CycleBranch,
@@ -25,7 +25,6 @@ from cyclestab.stability import (
     decompose_two_parts,
     decompose_vertex_split,
     low_degree_mask,
-    peel_low_degree,
     vertex_disjoint_cross_paths,
     verify_stability_certificate,
 )
@@ -49,21 +48,22 @@ def _golden(name: str) -> str:
 # -- peel ------------------------------------------------------------------
 
 def test_peel_k10_nothing():
-    mask, rest = peel_low_degree(complete(10), 9, 40)
-    assert mask == 0 and rest.n == 10
+    g = complete(10)
+    mask = low_degree_mask(g, 9, 40)
+    assert mask == 0 and induced(g, g.full_mask() & ~mask).n == 10
 
 
 def test_peel_star_leaves():
     star = build_graph(10, [(0, v) for v in range(1, 10)])
-    mask, rest = peel_low_degree(star, 9, 40)
+    mask = low_degree_mask(star, 9, 40)
     assert mask == mask_of(range(1, 10))
+    rest = induced(star, star.full_mask() & ~mask)
     assert rest.n == 1 and rest.labels == (0,)
 
 
 def test_peel_shared_cliques_nothing():
     g = two_cliques_shared(12)  # order 23, internal degree 11, center 22
-    mask, _ = peel_low_degree(g, 9, 20)
-    assert mask == 0
+    assert low_degree_mask(g, 9, 20) == 0
 
 
 def test_peel_threshold_uses_original_order():
