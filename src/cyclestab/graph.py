@@ -14,7 +14,7 @@ Outside data is validated where it enters (``build_graph``, ``formats``,
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from ._kernel import _reach_from
 from .errors import ParameterError
@@ -65,7 +65,7 @@ class Graph:
         # unpickling slots directly would go through __setattr__
         return Graph, (self.n, self.adj, self.labels)
 
-    def memo(self, key: str, compute: Callable[[], T]) -> T:
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
         """``compute()``, run once per graph and key and kept on the graph,
         for data derived from the edges alone.  A call that raises (a
         search past its deadline, say) keeps nothing."""
@@ -188,11 +188,15 @@ def blocks(g: Graph, within: Optional[int] = None) -> tuple[Block, ...]:
     block of the tree edge above its lower end.  So a block is bipartite,
     with depth parity as its sides, unless one of its back edges joins two
     depths of the same parity.
-    ``within`` restricts the graph to a vertex subset without relabeling;
-    without it, the blocks are computed once per graph.
+    ``within`` restricts the graph to a vertex subset without relabeling.
+    The blocks are computed once per graph and scope; no ``within`` and the
+    full mask are one scope.
     """
-    if within is None:
-        return g.memo("blocks", lambda: blocks(g, g.full_mask()))
+    scope = g.full_mask() if within is None else within
+    return g.memo(("blocks", scope), lambda: _blocks(g, scope))
+
+
+def _blocks(g: Graph, within: int) -> tuple[Block, ...]:
     adj = g.adj
     disc = [0] * g.n
     low = [0] * g.n

@@ -551,3 +551,16 @@ def test_decomposition_routes_frozen():
     assert corollary["corollary_check"]["note"].endswith("holds by sign")
     assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == (
         "4c48eb7353f4df14061eaba393fc035c71979a4fd4db516b050acc739c5a4e1c")
+
+
+def test_three_parts_one_block_search(monkeypatch):
+    # on K64 nothing is peeled, so the cycle bounds, the remainder's
+    # bipartition and its cut vertices read the blocks of one scope
+    from cyclestab import graph
+
+    runs = []
+    search = graph._blocks
+    monkeypatch.setattr(graph, "_blocks", lambda *args: runs.append(args) or search(*args))
+    cert = decompose_three_parts(complete(64), DecompositionParams(alpha=Fraction(1, 25)))
+    assert cert.branch.kind == "cycle"
+    assert len(runs) == 1
