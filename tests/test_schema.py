@@ -133,8 +133,8 @@ def test_verify_report_conforms(inputs, capsys):
 # frac_str's "num/den" in lowest terms, witness keys that are not the decimal
 # cycle length
 _SPELLINGS = [("rational", v) for v in (" 2/5", "+2/5", "02/5", "0.4", "2/-5", "-0/1",
-                                       "4/10")]
-_SPELLINGS += [("witness-key", v) for v in (" 7", "+7", "07", "0")]
+                                       "4/10", "2/5\n")]
+_SPELLINGS += [("witness-key", v) for v in (" 7", "+7", "07", "0", "7\n")]
 
 
 @pytest.mark.parametrize("where, spelling", _SPELLINGS)
