@@ -708,7 +708,7 @@ def decompose_three_parts(g: Graph, params: DecompositionParams,
                 if w is None:
                     break
                 witnesses[t] = g.host_ids(w)
-            if top >= 3 and len(witnesses) == top - 2:
+            if top >= 3 and all(t in witnesses for t in range(3, top + 1)):
                 trace.append(f"remainder pancyclic up to {top2}, conclusion verified")
                 return done(CycleBranch("pancyclic-range", threshold,
                                         tuple(range(3, top + 1)), witnesses))
