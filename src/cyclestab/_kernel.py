@@ -11,10 +11,13 @@ cycle being sought.  It returns the first longest cycle with more than
 limit n) up to its cap; ``find_cycle_of_length`` asks for exactly ``t``
 vertices (floor t - 1, limit and cap t).  Two prunes cut a branch: a
 bitset reachability bound on the achievable cycle length against the
-best so far, and an anchor with no neighbor left to close on.
-``_reach_from`` and ``_check_deadline`` are the package's one
-reachability loop and one deadline check; the spanning-path search and
-``graph.components`` use them too.
+best so far, and an anchor with no neighbor left to close on.  Both read
+one reach, which ``_reach_holds`` grows only until it proves the branch
+live, so the prune decisions, node counts and witnesses are those of the
+full reach.  ``_reach_from`` (the full reach, for ``graph.components``),
+its bounded sibling ``_reach_holds`` (for both DFS prunes, this one and the
+spanning-path search's) and ``_check_deadline`` are the package's
+reachability loops and its one deadline check.
 
 Sweeps split edge 2-colorings by whether one color holds a cycle of a given
 length.  ``sweep_filter`` scans sampled draws one by one, against every
@@ -59,6 +62,28 @@ def _reach_from(adj, cand: int, free: int) -> int:
     return reach
 
 
+def _reach_holds(adj, cand: int, free: int, need: int, meet: int) -> bool:
+    """Whether ``_reach_from(adj, cand, free)`` holds at least ``need``
+    vertices and meets ``meet``.  The reach stops growing as soon as it
+    passes that test, or once it fills ``free`` without passing it."""
+    reach = 0
+    frontier = cand
+    while frontier:
+        reach |= frontier
+        if reach & meet and reach.bit_count() >= need:
+            return True
+        if reach == free:
+            return False
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= adj[v]
+        frontier = nxt & free & ~reach
+    return False
+
+
 def _cycle_search(adj, n: int, floor: int, limit: int, cap: int, deadline):
     """The first longest cycle, in search order, with more than ``floor``
     and at most ``limit`` vertices, as a vertex list, or None.  The search
@@ -89,10 +114,10 @@ def _cycle_search(adj, n: int, floor: int, limit: int, cap: int, deadline):
         cand = adj[u] & free
         if not cand:
             return False
-        reach = _reach_from(adj, cand, free)
-        if depth + reach.bit_count() <= best:
-            return False
-        if not (adj[a] & reach):
+        # a live branch reaches more than best - depth vertices, one of
+        # them a neighbor of the anchor to close the cycle on; the reach
+        # stops growing once it has shown both
+        if not _reach_holds(adj, cand, free, best - depth + 1, adj[a]):
             return False
         m = cand
         while m:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernel import _check_deadline, _reach_from
+from ._kernel import _check_deadline, _reach_holds
 from .errors import (
     HypothesisViolatedError,
     InternalContradictionError,
@@ -148,13 +148,13 @@ def _exact_spanning_path(adj, n: int, x: int, y: int, deadline=None) -> Optional
         cand = adj[u] & free & ~ybit
         if not cand:
             return False
-        # every remaining vertex must stay reachable without crossing y,
-        # and y must have a neighbor among them
+        # y must have a neighbor among u and the remaining vertices, and
+        # every remaining vertex must stay reachable without crossing y
+        # (cand lies in the reach, so only the count is asked of it)
         transit = free & transit_all
-        reach = _reach_from(adj, cand, transit)
-        if transit & ~reach:
+        if not (adj[y] & (transit | (1 << u))):
             return False
-        if not (adj[y] & (reach | (1 << u))):
+        if not _reach_holds(adj, cand, transit, transit.bit_count(), cand):
             return False
         m = cand
         while m:

@@ -4,12 +4,12 @@ cycle Ramsey numbers."""
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, count
 from time import monotonic
 
 import pytest
 
-from cyclestab import _kernel
+from cyclestab import _kernel, paths
 from cyclestab.errors import SearchTimeout
 from cyclestab.graph import bipartition, build_graph, induced, is_two_connected
 from cyclestab.paths import _exact_spanning_path
@@ -115,6 +115,62 @@ def test_frozen_search_outputs():
         for out in _frozen_outputs(g, [0, 3, 5, c], lengths, masks):
             digest.update(repr(out).encode())
     assert digest.hexdigest() == _FROZEN_DIGEST
+
+
+# DFS nodes of the searches below, counted before the reachability prunes
+# stopped early; a change to any prune decision moves them
+_FROZEN_NODES = 108797
+_FROZEN_SPANNING = (2173, 248989)  # (paths found, nodes)
+
+
+def _node_counter(monkeypatch, module):
+    """Counts the calls to ``module._check_deadline``, which a DFS makes
+    exactly once per node; ``next`` on the result gives the count so far."""
+    calls = count()
+    monkeypatch.setattr(module, "_check_deadline", lambda *args: next(calls))
+    return calls
+
+
+def test_cycle_search_nodes_frozen(monkeypatch):
+    nodes = _node_counter(monkeypatch, _kernel)
+    for g, _ in _frozen_corpus(seed=18, count=600):
+        _kernel.find_longest_cycle(g.adj, g.n)
+        for t in range(g.n + 2):
+            _kernel.find_cycle_of_length(g.adj, g.n, t)
+    for g, c, lengths in [
+        (complete_bipartite(32, 32), 64, range(2, 66, 2)),
+        (complete_bipartite(31, 33), 62, range(2, 64, 2)),
+        (two_cliques_shared(32), 32, range(0, 33)),
+        (two_disjoint_cliques(32), 32, range(0, 66)),
+        (two_disjoint_cliques(32, bridge=True), 32, range(0, 66)),
+    ]:
+        _kernel.find_longest_cycle(g.adj, g.n, cap=c)
+        for t in lengths:
+            _kernel.find_cycle_of_length(g.adj, g.n, t)
+    assert next(nodes) == _FROZEN_NODES
+
+
+def test_spanning_path_nodes_frozen(monkeypatch):
+    nodes = _node_counter(monkeypatch, paths)
+    found = 0
+    for g, _ in _frozen_corpus(seed=19, count=300):
+        for x, y in combinations(range(g.n), 2):
+            found += _exact_spanning_path(g.adj, g.n, x, y) is not None
+    assert (found, next(nodes)) == _FROZEN_SPANNING
+
+
+def test_bounded_reach_matches_full_reach():
+    rng = random.Random(7)
+    for i in range(3000):
+        n = 64 if i % 4 == 0 else rng.randint(0, 64)
+        g = random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.3]))
+        free = rng.getrandbits(n) | (1 << 63 if n == 64 and i % 8 == 0 else 0)
+        cand = free & rng.getrandbits(n) & rng.getrandbits(n) if i % 5 else 0
+        meet = 0 if i % 7 == 0 else rng.getrandbits(n) & rng.getrandbits(n)
+        need = rng.randint(-1, free.bit_count() + 2)
+        full = _kernel._reach_from(g.adj, cand, free)
+        assert _kernel._reach_holds(g.adj, cand, free, need, meet) == (
+            full.bit_count() >= need and full & meet != 0), (i, n)
 
 
 def test_sweep_filter_k6_c4():

@@ -553,6 +553,21 @@ def test_decomposition_routes_frozen():
         "4c48eb7353f4df14061eaba393fc035c71979a4fd4db516b050acc739c5a4e1c")
 
 
+def test_majority_extension_empty_range():
+    # the peel removes vertex 3, the small-peel gate fails and the remainder
+    # passes the density gate; top = ceil(4/2) = 2, so the required range
+    # [3, 2] is empty and holds, as on the other pancyclic-range routes
+    g = build_graph(4, [(0, 1), (0, 2), (1, 2)])
+    cert = decompose_three_parts(g, DecompositionParams(alpha=Fraction(0),
+                                                        beta=Fraction(1, 200)))
+    assert isinstance(cert.branch, CycleBranch)
+    assert cert.branch.claim == "pancyclic-range"
+    assert cert.branch.required_lengths == ()
+    assert cert.to_payload()["branch"]["required_lengths"] == []
+    assert "remainder pancyclic up to 2, conclusion verified" in cert.trace
+    assert verify_stability_certificate(g, cert).passed
+
+
 def test_three_parts_one_block_search(monkeypatch):
     # on K64 nothing is peeled, so the cycle bounds, the remainder's
     # bipartition and its cut vertices read the blocks of one scope
