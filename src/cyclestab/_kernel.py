@@ -3,21 +3,26 @@
 Witnesses depend on search order (anchors ascending, neighbors ascending),
 so reports are reproducible byte for byte.
 
-Both cycle searches are one DFS, ``_cycle_search(adj, n, floor, limit,
-cap, deadline)``, over simple paths anchored at the minimum vertex of the
-cycle being sought.  It returns the first longest cycle with more than
-``floor`` and at most ``limit`` vertices, and stops once it holds one of
-``cap`` or more.  ``find_longest_cycle`` asks for any cycle (floor 0,
-limit n) up to its cap; ``find_cycle_of_length`` asks for exactly ``t``
-vertices (floor t - 1, limit and cap t).  Two prunes cut a branch: a
-bitset reachability bound on the achievable cycle length against the
-best so far, and an anchor with no neighbor left to close on.  Both read
-one reach, which ``_reach_holds`` grows only until it proves the branch
-live, so the prune decisions, node counts and witnesses are those of the
-full reach.  ``_reach_from`` (the full reach, for ``graph.components``),
-its bounded sibling ``_reach_holds`` (for both DFS prunes, this one and the
-spanning-path search's) and ``_check_deadline`` are the package's
-reachability loops and its one deadline check.
+Every cycle search is one DFS, ``_cycle_search(adj, n, want, deadline,
+cap, found)``, over simple paths anchored at the minimum vertex of the
+cycle being sought.  ``want`` is a bit mask of cycle lengths; the search
+records the first closing path of each, retires that length and stops
+once none is left.  ``find_cycle_of_length`` wants one length.
+``find_cycles`` wants a whole spectrum and returns, for each length, the
+witness that ``find_cycle_of_length`` returns.  ``find_longest_cycle``
+wants every length, and there a find also retires every shorter length,
+so each find is longer than the last; a find of ``cap`` or more vertices
+retires them all.  Two prunes cut a branch: a bitset reachability bound,
+since closing the shortest length still wanted above the path's depth
+needs that many more vertices, and an anchor with no neighbor left to
+close on.  A cut subtree holds no closing path of any wanted length, so
+each witness is the one a search for its length alone finds.  Both prunes
+read one reach, which ``_reach_holds`` grows only until it proves the
+branch live, so the prune decisions, node counts and witnesses are those
+of the full reach.  ``_reach_from`` (the full reach, for
+``graph.components``), its bounded sibling ``_reach_holds`` (for both DFS
+prunes, this one and the spanning-path search's) and ``_check_deadline``
+are the package's reachability loops and its one deadline check.
 
 Sweeps split edge 2-colorings by whether one color holds a cycle of a given
 length.  ``sweep_filter`` scans sampled draws one by one, against every
@@ -84,60 +89,76 @@ def _reach_holds(adj, cand: int, free: int, need: int, meet: int) -> bool:
     return False
 
 
-def _cycle_search(adj, n: int, floor: int, limit: int, cap: int, deadline):
-    """The first longest cycle, in search order, with more than ``floor``
-    and at most ``limit`` vertices, as a vertex list, or None.  The search
-    stops once it holds one of ``cap`` (at most ``limit``) or more."""
-    best = floor if floor > 2 else 2  # a cycle has at least 3 vertices
-    if limit <= best:
+def _cycle_search(adj, n: int, want: int, deadline, cap=None, found=None):
+    """Finds the first closing path, in search order, of every length in
+    the bit mask ``want`` (bit t for t vertices, 3 <= t <= n).
+
+    A found length is retired.  With ``cap`` (the longest-cycle mode) so is
+    every shorter one, so each later find is longer, and a find of ``cap``
+    or more vertices retires them all.  The search stops once nothing is
+    wanted.  Returns the path whose find left nothing wanted, or None;
+    every other find goes into ``found`` as {length: vertex list}, so a
+    search for one length needs no ``found``.
+    """
+    if not want:
         return None
-    best_path = None
+    low = (want & -want).bit_length() - 1  # the shortest wanted length
     allowed = (1 << n) - 1
     path = []
     nodes = 0
 
-    def dfs(u: int, visited: int, a: int) -> bool:
-        """True once ``path`` closes a cycle of ``cap`` or more vertices."""
-        nonlocal best, best_path, nodes
+    def dfs(u: int, visited: int, close: int) -> bool:
+        """True once nothing is wanted."""
+        nonlocal want, low, nodes
         nodes += 1
         _check_deadline(nodes, deadline)
         depth = len(path)
-        if depth > best:
-            if (adj[u] >> a) & 1:
-                if depth >= cap:
-                    return True
-                best = depth
-                best_path = path.copy()
-            elif depth >= limit:
+        if depth < low:
+            need = low - depth
+        else:
+            if close >> u & 1 and want >> depth & 1:
+                if cap is None:
+                    want ^= 1 << depth
+                else:
+                    want = 0 if depth >= cap else want >> depth + 1 << depth + 1
+                if not want:
+                    return True  # path stands as it is
+                found[depth] = path.copy()
+                low = (want & -want).bit_length() - 1
+            above = want >> depth + 1  # bit i: length depth + 1 + i is wanted
+            if not above:
                 return False
+            need = (above & -above).bit_length()
         free = allowed & ~visited
         cand = adj[u] & free
         if not cand:
             return False
-        # a live branch reaches more than best - depth vertices, one of
-        # them a neighbor of the anchor to close the cycle on; the reach
-        # stops growing once it has shown both
-        if not _reach_holds(adj, cand, free, best - depth + 1, adj[a]):
+        # a live branch reaches the ``need`` more vertices that the shortest
+        # wanted length above the path asks for, one of them a neighbor of
+        # the anchor to close the cycle on; the reach stops growing once it
+        # has shown both
+        if not _reach_holds(adj, cand, free, need, close):
             return False
         m = cand
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             path.append(v)
-            if dfs(v, visited | (1 << v), a):
+            if dfs(v, visited | (1 << v), close):
                 return True
             path.pop()
         return False
 
     for a in range(n):
-        if allowed.bit_count() <= best:
+        # the shortest wanted cycle needs that many vertices not below a
+        if allowed.bit_count() < low:
             break
         path.clear()
         path.append(a)
-        if dfs(a, 1 << a, a):
+        if dfs(a, 1 << a, adj[a]):
             return path
         allowed &= ~(1 << a)
-    return best_path
+    return None
 
 
 def find_longest_cycle(adj, n: int, deadline=None, cap=None):
@@ -149,13 +170,29 @@ def find_longest_cycle(adj, n: int, deadline=None, cap=None):
     """
     if cap is None or cap > n:
         cap = n
-    path = _cycle_search(adj, n, 0, n, cap, deadline)
+    found = {}
+    path = _cycle_search(adj, n, ((2 << n) - 1) & ~7, deadline, cap, found)
+    if path is None and found:
+        path = found[max(found)]
     return (len(path), path) if path else (0, None)
 
 
 def find_cycle_of_length(adj, n: int, t: int, deadline=None):
     """First cycle with exactly ``t`` vertices in search order, or None."""
-    return _cycle_search(adj, n, t - 1, t, t, deadline)
+    if not 3 <= t <= n:
+        return None
+    return _cycle_search(adj, n, 1 << t, deadline)
+
+
+def find_cycles(adj, n: int, lengths: int, deadline=None):
+    """The first cycle in search order of every length in the bit mask
+    ``lengths`` (bit t for t vertices) that has one, as {length: path}:
+    ``find_cycle_of_length``'s witness for each, from one search."""
+    found = {}
+    path = _cycle_search(adj, n, lengths & ((2 << n) - 1) & ~7, deadline, found=found)
+    if path is not None:
+        found[len(path)] = path
+    return found
 
 
 def sweep_filter(cycle_masks, m: int, reds, deadline=None):

@@ -13,9 +13,10 @@ are written once above it, and ``build_parser`` loops over it.  A handler
 gets the arguments and the run's deadline (--timeout seconds after the
 arguments parse) and returns (report, exit code) or raises a library
 error.  ``main`` turns the error into the report: a SearchTimeout gives
-a partial report; any other error reports its message under its class
-name, or under the kind that ``_ERROR_KINDS`` gives it (an unsatisfiable
-hypothesis also carries its monochromatic witness).
+the timeout report (the command, ``timeout`` and the message); any other
+error reports its message under its class name, or under the kind that
+``_ERROR_KINDS`` gives it (an unsatisfiable hypothesis also carries its
+monochromatic witness).
 
 ``build_parser`` builds only the subparser of the command that argv's
 first token names: building all eleven cost more than the run of a small
@@ -29,7 +30,7 @@ exit codes are the same either way.
 
 Exit codes: 0 success / certificate verified; 1 verification failure,
 counterexample exemplar or internal contradiction; 2 input or parameter
-error; 3 timeout with a partial report.
+error; 3 timeout, with the timeout report.
 """
 
 from __future__ import annotations
@@ -207,8 +208,7 @@ def _report_skeleton(args, digest, parameters, result, checks=None) -> dict:
 def _run_spectrum(args, deadline):
     digest, g = _load(args.graph, parse_graph)
     report = cycle_spectrum(g, deadline)
-    code = EXIT_TIMEOUT if report.timed_out else EXIT_OK
-    return _report_skeleton(args, digest, {}, report.to_payload()), code
+    return _report_skeleton(args, digest, {}, report.to_payload()), EXIT_OK
 
 
 def _run_bounds(args, deadline):
@@ -355,8 +355,8 @@ _GRAPH = ("--graph", {"required": True, "help": "graph6 or edge-list file"})
 _COLORING = ("--coloring", {"required": True, "help": "coloring file"})
 _COMMON = (
     ("--timeout", {"type": _seconds,
-                   "help": "deadline in seconds for the whole run; partial "
-                           "report on expiry"}),
+                   "help": "deadline in seconds for the whole run; exit 3 "
+                           "with a timeout report on expiry"}),
     ("--format", {"choices": ("json", "csv"), "default": "json"}),
     ("--timing", {"action": "store_true",
                   "help": "embed wall-clock timing in the report "

@@ -13,7 +13,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from . import _kernel
-from .errors import ParameterError, SearchTimeout
+from .errors import ParameterError
 from .graph import Graph, blocks, is_two_connected
 from .reporting import Comparison
 
@@ -107,18 +107,16 @@ def is_hamiltonian(g: Graph, deadline=None) -> bool:
 
 
 def spectrum_up_to(g: Graph, top: int, deadline=None) -> dict[int, tuple[int, ...]]:
-    """Witnesses for every achievable cycle length in [3, min(top, n)]."""
-    out: dict[int, tuple[int, ...]] = {}
-    top = min(top, g.n)
-    if top < 3:
-        return out
-    # only min(c, top) is needed, and a capped search gives it exactly
-    c, _ = _kernel.find_longest_cycle(g.adj, g.n, deadline, min(top, cycle_bounds(g).longest))
-    for t in range(3, min(top, c) + 1):
-        w = cycle_of_length(g, t, deadline)
-        if w is not None:
-            out[t] = w
-    return out
+    """Witnesses for every achievable cycle length in [3, min(top, n)], in
+    increasing length, from one search over the lengths the blocks leave
+    open; each is ``cycle_of_length``'s."""
+    bounds = cycle_bounds(g)
+    wanted = 0
+    for t in range(3, min(top, g.n, bounds.longest) + 1):
+        if not bounds.rules_out(t):
+            wanted |= 1 << t
+    found = _kernel.find_cycles(g.adj, g.n, wanted, deadline)
+    return {t: _canonical_cycle(found[t]) for t in sorted(found)}
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ class SpectrumReport:
     c: int
     flags: tuple[bool, ...]  # index i covers length i + 3
     witnesses: dict[int, tuple[int, ...]]
-    timed_out: bool = False  # partial: lengths beyond the deadline unsearched
 
     def present(self) -> list[int]:
         return [t + 3 for t, f in enumerate(self.flags) if f]
@@ -138,39 +135,23 @@ class SpectrumReport:
         return 0 <= t - 3 < len(self.flags) and self.flags[t - 3]
 
     def to_payload(self) -> dict:
-        payload = {
+        return {
             "n": self.n,
             "c": self.c,
             "lengths": self.present(),
             "witnesses": {str(t): list(w) for t, w in sorted(self.witnesses.items())},
         }
-        if self.timed_out:
-            payload["timed_out"] = True
-        return payload
 
 
 def cycle_spectrum(g: Graph, deadline=None) -> SpectrumReport:
-    """Exact spectrum over [3, n].  Lengths above the longest cycle are
-    absent by definition of c, so only lengths up to c are searched, and
-    odd lengths the blocks rule out are skipped.
-
-    On deadline expiry the per-length results found so far are returned
-    with ``timed_out`` set; the initial longest-cycle search has no partial
-    form, so its expiry still raises."""
-    c, _ = longest_cycle(g, deadline)
+    """Exact spectrum over [3, n]: ``spectrum_up_to(g, n)``, whose longest
+    length is c, the longest cycle.  A search past its deadline raises
+    ``SearchTimeout``; there is no partial spectrum."""
+    witnesses = spectrum_up_to(g, g.n, deadline)
     flags = [False] * max(0, g.n - 2)
-    witnesses: dict[int, tuple[int, ...]] = {}
-    timed_out = False
-    for t in range(3, c + 1):
-        try:
-            w = cycle_of_length(g, t, deadline)
-        except SearchTimeout:
-            timed_out = True
-            break
-        if w is not None:
-            flags[t - 3] = True
-            witnesses[t] = w
-    return SpectrumReport(g.n, c, tuple(flags), witnesses, timed_out)
+    for t in witnesses:
+        flags[t - 3] = True
+    return SpectrumReport(g.n, max(witnesses, default=0), tuple(flags), witnesses)
 
 
 @dataclass(frozen=True)
@@ -243,10 +224,13 @@ def check_bollobas_pancyclicity(g: Graph, deadline=None) -> BoundReport:
     if not gate.holds:
         return BoundReport("bollobas-pancyclicity", False, None, (gate,),
                            {"n": n, "e": e})
-    report = cycle_spectrum(g, deadline)
-    missing = [t for t in range(3, report.c + 1) if not report.has(t)]
+    # c is the longest-cycle search the other bounds share; the spectrum
+    # search then wants only the lengths up to it
+    c, _ = longest_cycle(g, deadline)
+    found = spectrum_up_to(g, c, deadline)
+    missing = [t for t in range(3, c + 1) if t not in found]
     cmp_cover = Comparison.make(
         "spectrum-covers-range", len(missing), "==", 0,
         note=f"missing lengths: {missing}" if missing else "all lengths in [3, c] present")
     return BoundReport("bollobas-pancyclicity", True, cmp_cover.holds,
-                       (gate, cmp_cover), {"n": n, "e": e, "c": report.c})
+                       (gate, cmp_cover), {"n": n, "e": e, "c": c})

@@ -65,6 +65,23 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def small_graphs(seed: int, count: int):
+    """Random, bipartite and block-joined graphs on at most 12 vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 12)
+        if i % 3 == 0:
+            yield random_graph(rng, n, rng.random())
+        elif i % 3 == 1:
+            a = rng.randint(0, n)
+            yield build_graph(n, [(u, v) for u in range(a) for v in range(a, n)
+                                  if rng.random() < 0.6])
+        else:
+            # dense runs of consecutive vertices, so blocks meet at cut vertices
+            yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4))
+                                  if rng.random() < 0.7])
+
+
 # -- independent oracles ---------------------------------------------------
 
 def assert_graph_invariant(g: Graph) -> None:

@@ -26,6 +26,7 @@ from cyclestab.graph import bits, blocks, build_graph, cut_vertices, mask_of
 from conftest import (
     complete_bipartite,
     random_graph,
+    small_graphs,
     two_cliques_shared,
     two_disjoint_cliques,
 )
@@ -37,23 +38,6 @@ def _nx(g, within=None):
     G.add_nodes_from(bits(scope))
     G.add_edges_from((u, v) for u in bits(scope) for v in bits(g.adj[u] & scope) if u < v)
     return G
-
-
-def _small_graphs(seed: int, count: int):
-    """Random, bipartite and block-joined graphs on at most 12 vertices."""
-    rng = random.Random(seed)
-    for i in range(count):
-        n = rng.randint(0, 12)
-        if i % 3 == 0:
-            yield random_graph(rng, n, rng.random())
-        elif i % 3 == 1:
-            a = rng.randint(0, n)
-            yield build_graph(n, [(u, v) for u in range(a) for v in range(a, n)
-                                  if rng.random() < 0.6])
-        else:
-            # dense runs of consecutive vertices, so blocks meet at cut vertices
-            yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4))
-                                  if rng.random() < 0.7])
 
 
 def test_blocks_match_networkx():
@@ -111,7 +95,7 @@ def _assert_matches_raw(g, lengths=None):
 
 
 def test_layer_matches_raw_kernel_small():
-    for g in _small_graphs(seed=5, count=1500):
+    for g in small_graphs(seed=5, count=1500):
         _assert_matches_raw(g)
 
 
@@ -126,7 +110,7 @@ def test_layer_matches_raw_kernel_64(g, lengths):
 
 
 def test_longest_cycle_cap():
-    for g in _small_graphs(seed=9, count=300):
+    for g in small_graphs(seed=9, count=300):
         c, witness = _kernel.find_longest_cycle(g.adj, g.n)
         for cap in range(g.n + 2):
             length, path = _kernel.find_longest_cycle(g.adj, g.n, cap=cap)

@@ -2,17 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from time import monotonic
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cyclestab import _kernel
 from cyclestab.cycles import (
     check_bollobas_pancyclicity,
     check_erdos_gallai,
     check_fan_lv_weng,
+    cycle_bounds,
     cycle_of_length,
     cycle_spectrum,
     is_hamiltonian,
     longest_cycle,
+    spectrum_up_to,
     validate_cycle,
 )
 from cyclestab.errors import ParameterError, SearchTimeout
@@ -27,6 +33,7 @@ from conftest import (
     path_graph,
     petersen,
     random_graph,
+    small_graphs,
 )
 
 
@@ -97,6 +104,53 @@ def test_witness_determinism():
     assert cycle_spectrum(g).witnesses == cycle_spectrum(g).witnesses
 
 
+def _longest_then_each_length(g, top):
+    """``spectrum_up_to`` as a longest-cycle search capped at min(top, the
+    block bound), then one search per length up to that c."""
+    out = {}
+    top = min(top, g.n)
+    if top < 3:
+        return out
+    c, _ = _kernel.find_longest_cycle(g.adj, g.n, None, min(top, cycle_bounds(g).longest))
+    for t in range(3, min(top, c) + 1):
+        w = cycle_of_length(g, t)
+        if w is not None:
+            out[t] = w
+    return out
+
+
+def _assert_one_search_spectrum(g):
+    assert cycle_spectrum(g).c == longest_cycle(g)[0]
+    for top in range(g.n + 2):
+        got = spectrum_up_to(g, top)
+        assert list(got.items()) == list(_longest_then_each_length(g, top).items())
+
+
+def test_one_search_spectrum_on_corpus():
+    for g in small_graphs(seed=23, count=400):
+        _assert_one_search_spectrum(g)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return build_graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs())
+def test_one_search_spectrum_on_hypothesis_graphs(g):
+    _assert_one_search_spectrum(g)
+
+
+def test_expired_deadline_stops_the_spectrum():
+    # no partial spectrum: the one search raises
+    with pytest.raises(SearchTimeout):
+        cycle_spectrum(petersen(), monotonic() - 1)
+
+
 def test_erdos_gallai_examples():
     r = check_erdos_gallai(complete(4))
     assert r.applicable and r.passed
@@ -157,8 +211,6 @@ def test_theorem_as_test_on_random_graphs():
 
 def test_expired_deadline_stops_a_short_search():
     # a triangle of K5 is found within a few nodes, far below one stride
-    from time import monotonic
-
     with pytest.raises(SearchTimeout):
         cycle_of_length(complete(5), 3, deadline=monotonic() - 1.0)
 

@@ -10,6 +10,7 @@ from time import monotonic
 import pytest
 
 from cyclestab import _kernel, paths
+from cyclestab.cycles import cycle_bounds, cycle_spectrum
 from cyclestab.errors import SearchTimeout
 from cyclestab.graph import bipartition, build_graph, induced, is_two_connected
 from cyclestab.paths import _exact_spanning_path
@@ -90,6 +91,17 @@ def _frozen_outputs(g, caps, lengths, masks):
         yield is_two_connected(g if within is None else induced(g, within))
 
 
+# the 62-64-vertex families of test_blocks, with c and the lengths whose
+# search is quick
+_FAMILIES = [
+    (complete_bipartite(32, 32), 64, range(2, 66, 2)),
+    (complete_bipartite(31, 33), 62, range(2, 64, 2)),
+    (two_cliques_shared(32), 32, range(0, 33)),
+    (two_disjoint_cliques(32), 32, range(0, 66)),
+    (two_disjoint_cliques(32, bridge=True), 32, range(0, 66)),
+]
+
+
 # sha256 of the outputs below, computed before the cycle searches shared one
 # DFS; a change to any witness, length, side or verdict moves it
 _FROZEN_DIGEST = "c1b509d3e0a2286deb41848c1a1a2b7776683bd7d236587f4b34c387f400c931"
@@ -101,16 +113,8 @@ def test_frozen_search_outputs():
         caps = [None] + list(range(g.n + 2))
         for out in _frozen_outputs(g, caps, range(g.n + 2), masks):
             digest.update(repr(out).encode())
-    # the 62-64-vertex families of test_blocks, capped at c and asked only
-    # about lengths whose search is quick
     rng = random.Random(64)
-    for g, c, lengths in [
-        (complete_bipartite(32, 32), 64, range(2, 66, 2)),
-        (complete_bipartite(31, 33), 62, range(2, 64, 2)),
-        (two_cliques_shared(32), 32, range(0, 33)),
-        (two_disjoint_cliques(32), 32, range(0, 66)),
-        (two_disjoint_cliques(32, bridge=True), 32, range(0, 66)),
-    ]:
+    for g, c, lengths in _FAMILIES:
         masks = [rng.getrandbits(g.n), rng.getrandbits(g.n)]
         for out in _frozen_outputs(g, [0, 3, 5, c], lengths, masks):
             digest.update(repr(out).encode())
@@ -137,17 +141,66 @@ def test_cycle_search_nodes_frozen(monkeypatch):
         _kernel.find_longest_cycle(g.adj, g.n)
         for t in range(g.n + 2):
             _kernel.find_cycle_of_length(g.adj, g.n, t)
-    for g, c, lengths in [
-        (complete_bipartite(32, 32), 64, range(2, 66, 2)),
-        (complete_bipartite(31, 33), 62, range(2, 64, 2)),
-        (two_cliques_shared(32), 32, range(0, 33)),
-        (two_disjoint_cliques(32), 32, range(0, 66)),
-        (two_disjoint_cliques(32, bridge=True), 32, range(0, 66)),
-    ]:
+    for g, c, lengths in _FAMILIES:
         _kernel.find_longest_cycle(g.adj, g.n, cap=c)
         for t in lengths:
             _kernel.find_cycle_of_length(g.adj, g.n, t)
     assert next(nodes) == _FROZEN_NODES
+
+
+def _lengths_witnesses(g, lengths):
+    """``find_cycle_of_length``'s witness for each of ``lengths`` that has
+    one."""
+    found = {t: _kernel.find_cycle_of_length(g.adj, g.n, t) for t in lengths}
+    return {t: w for t, w in found.items() if w is not None}
+
+
+def test_one_search_finds_each_length_witness():
+    # one search over many lengths gives each the witness of a search for
+    # it alone: every length, then random subsets (lengths outside [3, n]
+    # included)
+    rng = random.Random(21)
+    cases = [(g, range(g.n + 2)) for g, _ in _frozen_corpus(seed=21, count=1000)]
+    cases += [(g, lengths) for g, _, lengths in _FAMILIES]
+    for g, lengths in cases:
+        every = sum(1 << t for t in lengths)
+        for mask in [every] + [rng.getrandbits(every.bit_length()) & every for _ in range(3)]:
+            wanted = [t for t in lengths if mask >> t & 1]
+            assert _kernel.find_cycles(g.adj, g.n, mask) == _lengths_witnesses(g, wanted)
+
+
+# DFS nodes of cycle_spectrum's one search on each graph below, summed;
+# computed when that search replaced a longest-cycle search plus one search
+# per length, which took 24669 nodes there
+_SPECTRUM_NODES = 7797
+
+
+def _counted(calls, search, *args):
+    """``search(*args)`` and the DFS nodes it took, counted on ``calls``
+    from ``_node_counter``."""
+    start = next(calls)
+    result = search(*args)
+    return result, next(calls) - start - 1
+
+
+def test_spectrum_search_nodes(monkeypatch):
+    # the one search takes no more nodes than the searches it replaced: a
+    # longest-cycle search capped at the block bound, then one search per
+    # length up to c that the blocks leave open
+    calls = _node_counter(monkeypatch, _kernel)
+    total = 0
+    graphs = [g for g, _ in _frozen_corpus(seed=18, count=600)]
+    for g in graphs + [g for g, _, _ in _FAMILIES]:
+        bounds = cycle_bounds(g)
+        (c, _), before = _counted(calls, _kernel.find_longest_cycle, g.adj, g.n, None,
+                                  bounds.longest)
+        for t in range(3, c + 1):
+            if not bounds.rules_out(t):
+                before += _counted(calls, _kernel.find_cycle_of_length, g.adj, g.n, t)[1]
+        report, after = _counted(calls, cycle_spectrum, g)
+        assert report.c == c and after <= before, (g.n, g.adj)
+        total += after
+    assert total == _SPECTRUM_NODES
 
 
 def test_spanning_path_nodes_frozen(monkeypatch):
