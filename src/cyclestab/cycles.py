@@ -70,6 +70,40 @@ def _block_bounds(g: Graph) -> CycleBounds:
     return CycleBounds(longest, longest_odd)
 
 
+def _ear_grown_triangle(g: Graph) -> int:
+    """The first triangle in search order (lowest a, then b > a, then c),
+    grown by every vertex with two neighbours in the set; 0 when ``g`` has
+    no triangle.
+
+    A joining vertex adds an ear of length two, so the set stays
+    2-connected (Whitney, Trans. AMS 34, 1932), and the triangle is an odd
+    cycle in it.  So the set lies inside one non-bipartite block, and
+    ``longest >= longest_odd >= |set|`` without the block DFS.
+    """
+    adj = g.adj
+    for a in range(g.n):
+        above = adj[a] >> a + 1 << a + 1
+        m = above
+        while m:
+            b = (m & -m).bit_length() - 1
+            m &= m - 1
+            if adj[b] & above:
+                # the closure of the edge ab: c, their lowest common
+                # neighbour, joins first
+                grown = 1 << a | 1 << b
+                one = adj[a] | adj[b]  # >= 1 neighbour in the set
+                two = adj[a] & adj[b]  # >= 2 neighbours in the set
+                joining = two & ~grown
+                while joining:
+                    v = (joining & -joining).bit_length() - 1
+                    grown |= 1 << v
+                    two |= one & adj[v]
+                    one |= adj[v]
+                    joining = two & ~grown
+                return grown
+    return 0
+
+
 def cycle_bounds(g: Graph) -> CycleBounds:
     """The block bounds of ``g``, computed once per graph."""
     return g.memo("cycle_bounds", lambda: _block_bounds(g))
@@ -109,12 +143,22 @@ def is_hamiltonian(g: Graph, deadline=None) -> bool:
 def spectrum_up_to(g: Graph, top: int, deadline=None) -> dict[int, tuple[int, ...]]:
     """Witnesses for every achievable cycle length in [3, min(top, n)], in
     increasing length, from one search over the lengths the blocks leave
-    open; each is ``cycle_of_length``'s."""
-    bounds = cycle_bounds(g)
-    wanted = 0
-    for t in range(3, min(top, g.n, bounds.longest) + 1):
-        if not bounds.rules_out(t):
-            wanted |= 1 << t
+    open; each is ``cycle_of_length``'s.
+
+    When the ear-grown triangle has at least min(top, n) vertices, the
+    blocks rule out none of these lengths (its block is non-bipartite and
+    no smaller), so every one is wanted without the block DFS.  That is
+    the mask the blocks give, so the search, its witnesses and its nodes
+    are the same either way."""
+    top = min(top, g.n)
+    if _ear_grown_triangle(g).bit_count() >= top:
+        wanted = (2 << max(top, 2)) - 8  # bits 3..top
+    else:
+        bounds = cycle_bounds(g)
+        wanted = 0
+        for t in range(3, min(top, bounds.longest) + 1):
+            if not bounds.rules_out(t):
+                wanted |= 1 << t
     found = _kernel.find_cycles(g.adj, g.n, wanted, deadline)
     return {t: _canonical_cycle(found[t]) for t in sorted(found)}
 

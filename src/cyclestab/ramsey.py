@@ -667,6 +667,10 @@ class ColorVerdict:
         return payload
 
 
+# Theorem 2's minimum-degree factor, 2 - 10^-6
+_DEGREE_FACTOR = 2 - Fraction(1, 10 ** 6)
+
+
 def pancyclic_color_verdict(col: TwoColoring, deadline=None) -> ColorVerdict:
     """Exact spectra of both colors over [3, n] with n = (order + 1) / 2."""
     order = col.n
@@ -676,7 +680,7 @@ def pancyclic_color_verdict(col: TwoColoring, deadline=None) -> ColorVerdict:
     delta = col.host.min_degree()
     degree_check = Comparison.make(
         "degree-hypothesis", Fraction(delta), ">=",
-        (2 - Fraction(1, 10 ** 6)) * n,
+        _DEGREE_FACTOR * n,
         note="recorded only; the constant makes this vacuous at small orders")
     red_wit = spectrum_up_to(col.red, n, deadline)
     blue_wit = spectrum_up_to(col.blue, n, deadline)

@@ -1,6 +1,7 @@
 """The block-and-parity layer: blocks against networkx, and every search
 that uses the layer against the raw pure kernel, witnesses included."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,11 +10,12 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cyclestab import _kernel
+from cyclestab import _kernel, graph
 from cyclestab.cli import main
-from cyclestab.coloring import coloring_from_edges, serialize_coloring
+from cyclestab.coloring import coloring_from_edges, coloring_from_red_mask, serialize_coloring
 from cyclestab.cycles import (
     _canonical_cycle,
+    _ear_grown_triangle,
     cycle_bounds,
     cycle_of_length,
     cycle_spectrum,
@@ -22,8 +24,11 @@ from cyclestab.cycles import (
     spectrum_up_to,
 )
 from cyclestab.graph import bits, blocks, build_graph, cut_vertices, mask_of
+from cyclestab.ramsey import _sample_red, pancyclic_color_verdict, verdict_sample_sweep
+from cyclestab.reporting import canonical_json
 
 from conftest import (
+    complete,
     complete_bipartite,
     random_graph,
     small_graphs,
@@ -67,6 +72,84 @@ def test_cycle_bounds_examples():
     g = two_disjoint_cliques(4)
     assert cycle_bounds(g) is cycle_bounds(g)  # computed once per graph
     assert longest_cycle(g) is longest_cycle(g)
+
+
+def _exact_bounds_wanted(g, top):
+    """The lengths the exact block bounds leave open in [3, min(top, n)]:
+    the reference for the spectrum search's wanted mask."""
+    bounds = cycle_bounds(g)
+    wanted = 0
+    for t in range(3, min(top, g.n, bounds.longest) + 1):
+        if not bounds.rules_out(t):
+            wanted |= 1 << t
+    return wanted
+
+
+def _assert_ear_shortcut_sound(g, tops, asked, search):
+    core = _ear_grown_triangle(g)
+    size = core.bit_count()
+    first = next((abc for abc in combinations(range(g.n), 3)
+                  if all(g.has_edge(u, v) for u, v in combinations(abc, 2))), ())
+    assert (core == 0) == (first == ()) and mask_of(first) & ~core == 0
+    if core:
+        S = _nx(g).subgraph(bits(core))
+        assert nx.is_biconnected(S) and not nx.is_bipartite(S)
+    # grown to the end: no vertex left with two neighbours in the set
+    assert all((g.adj[v] & core).bit_count() < 2 for v in bits(g.full_mask() & ~core))
+    assert size <= cycle_bounds(g).longest_odd
+    for top in tops:
+        if size >= min(top, g.n):
+            wanted = _exact_bounds_wanted(g, top)
+            found = search(g.adj, g.n, wanted)
+            asked.clear()
+            assert spectrum_up_to(g, top) == {t: _canonical_cycle(found[t]) for t in sorted(found)}
+            assert asked == [wanted], (g.n, g.adj, top)
+
+
+def test_ear_grown_triangle_sound(monkeypatch):
+    # where the shortcut fires, the spectrum search wants the lengths the
+    # exact block bounds leave open, and finds the same witnesses
+    asked = []
+    search = _kernel.find_cycles
+    monkeypatch.setattr(_kernel, "find_cycles",
+                        lambda adj, n, lengths, deadline=None:
+                        asked.append(lengths) or search(adj, n, lengths, deadline))
+    for g in small_graphs(seed=21, count=1500):
+        _assert_ear_shortcut_sound(g, range(g.n + 2), asked, search)
+    rng = random.Random(22)
+    for _ in range(150):
+        p = rng.choice([0.05, 0.1, 0.2, 0.5, 0.8])
+        g = random_graph(rng, rng.randint(13, 64), p)
+        # long cycles of a sparse graph cost an exponential search
+        tops = rng.sample(range(15), 4) + ([g.n, rng.randint(13, g.n)] if p >= 0.5 else [])
+        _assert_ear_shortcut_sound(g, tops, asked, search)
+    for g, size in [(complete(64), 64), (two_disjoint_cliques(32, bridge=True), 32),
+                    (two_cliques_shared(32), 32), (complete_bipartite(32, 32), 0),
+                    (complete_bipartite(31, 33), 0)]:
+        assert _ear_grown_triangle(g).bit_count() == size
+        _assert_ear_shortcut_sound(g, range(0, 66, 3), asked, search)
+
+
+# graph._blocks runs and the sha256 of the report and of every verdict of a
+# seeded K9 verdict sweep.  The digest was computed when every spectrum
+# search ran the block DFS, once per colour graph: 1000 runs.
+_SWEEP_BLOCK_RUNS = 87
+_SWEEP_DIGEST = "5d580458eb5dd491769c04f1657df22e1d9f0ac6953006c9af93da9e7a99d3fb"
+
+
+def test_verdict_sweep_block_runs(monkeypatch):
+    runs = []
+    search = graph._blocks
+    monkeypatch.setattr(graph, "_blocks", lambda *args: runs.append(args) or search(*args))
+    report = verdict_sample_sweep(9, 500, seed=23, shards=1, parallel=False)
+    assert len(runs) == _SWEEP_BLOCK_RUNS
+    verdicts = [pancyclic_color_verdict(coloring_from_red_mask(9, _sample_red(23, i, 36)))
+                for i in range(500)]
+    rows = [report.to_payload(), [v.to_payload() for v in verdicts]]
+    assert hashlib.sha256(canonical_json(rows).encode()).hexdigest() == _SWEEP_DIGEST
+    runs.clear()
+    assert len(spectrum_up_to(complete(64), 64)) == 62
+    assert runs == []
 
 
 def _raw_of_length(g, t):
